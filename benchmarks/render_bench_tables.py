@@ -147,10 +147,8 @@ def summary_rows(data: dict[str, dict], floors: dict[str, float]):
             "PR 5",
             f"`MatchingEngine.match_batch` ({sertopt['circuit']}, "
             f"{matcher['lanes']}-lane population)",
-            _ms((matcher["gate_full_ms"] + matcher["gate_delta_ms"]) / 2e3)
-            + " (per-gate)",
-            _ms((matcher["level_full_ms"] + matcher["level_delta_ms"]) / 2e3)
-            + " (level-batched)",
+            _ms(matcher["scalar_ms"] / 1e3) + " (scalar `match` loop)",
+            _ms(matcher["level_ms"] / 1e3) + " (level-batched)",
             _x(matcher["speedup"]),
             f"≥ {floors['sertopt_match']:g}× (`BENCH_sertopt.json`)",
         ),
@@ -241,8 +239,7 @@ Section-3.2 electrical-masking recursion over a
 {_ms(aserta['sweep']['unfused_s'])}, the compiled plan
 {_ms(aserta['sweep']['fused_s'])}
 ({_x(aserta['sweep']['speedup'])}, gated at ≥ {floors['sweep']:g}×).
-On the `{aserta['sweep']['backend']}` backend the two paths are
-asserted *bitwise identical* before timing.
+The two paths are asserted *bitwise identical* before timing.
 
 ## Structural engine (`BENCH_structural.json`)
 
@@ -268,20 +265,16 @@ evaluations sharing one analysis engine:
 | Flow | Wall | vs serial |
 | --- | --- | --- |
 | Serial objective (PR 1) | {_s(sertopt['before']['optimize_s'])} | 1.0× |
-| Batched populations, per-gate matcher (PR 4) | {_s(sertopt['pr4']['optimize_s'])} | {_x(sertopt['before']['optimize_s'] / sertopt['pr4']['optimize_s'])} |
 | Batched populations, level-batched matcher (PR 5) | {_s(sertopt['after']['optimize_s'])} | {_x(sertopt['speedup'])} |
 
-All three flows visit the identical coordinate trajectory (bitwise
-between the two batched flows, ≤ 1e-9 relative against the serial
-objective; measured
+Both flows visit the identical coordinate trajectory (≤ 1e-9 relative
+costs; measured
 {sertopt['max_history_relative_difference']:.1e}).  The matcher kernel
 itself — `match_batch` on a {matcher['lanes']}-lane candidate
-population — runs {_x(matcher['speedup'])} faster level-batched
-(full pass {_ms(matcher['gate_full_ms'] / 1e3)} →
-{_ms(matcher['level_full_ms'] / 1e3)}, delta pass
-{_ms(matcher['gate_delta_ms'] / 1e3)} →
-{_ms(matcher['level_delta_ms'] / 1e3)}), choosing bitwise-identical
-cells.
+population — takes {_ms(matcher['level_ms'] / 1e3)} against
+{_ms(matcher['scalar_ms'] / 1e3)} for a loop of the scalar per-gate
+`match` over the same lanes ({_x(matcher['speedup'])}, gated at
+≥ {floors['sertopt_match']:g}×), choosing identical cells.
 
 ## Campaigns (`BENCH_campaign.json`)
 

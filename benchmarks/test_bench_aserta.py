@@ -14,21 +14,16 @@ both written into ``BENCH_aserta.json``:
   asserted only after the two paths are verified *bitwise identical*
   on the exact tensors being timed.
 
-Both gates use the interleaved paired-median protocol (see
-``test_bench_telemetry._paired_overhead`` for the full rationale):
-timing each side in its own best-of pass lets slow drift — thermal
-throttle, host contention under a shared VM — land entirely on
-whichever side ran second, which made single-pass speedups jitter by
-tens of percent.  Back-to-back single-call pairs, alternating which
-side goes first, interleave the two samples at call granularity, and
-the per-side *medians* discard preempted outliers; GC is held off so a
-collection cannot land inside one call.  A gate miss triggers one
-re-measurement before declaring a regression.
+Both gates use the interleaved paired-median protocol
+(:func:`conformance.gated_speedup`): timing each side in its own
+best-of pass lets slow drift — thermal throttle, host contention under
+a shared VM — land entirely on whichever side ran second, which made
+single-pass speedups jitter by tens of percent.  A gate miss triggers
+one re-measurement before declaring a regression.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import time
@@ -36,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conformance import mixed_assignments
+from conformance import gated_speedup, mixed_assignments
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaAnalyzer
 from repro.core.electrical_masking import (
@@ -55,64 +50,6 @@ MIN_SPEEDUP = 3.0
 MIN_SWEEP_SPEEDUP = 2.0
 #: Lanes in the sweep-gate population (the campaign batch sweet spot).
 SWEEP_LANES = 16
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def _paired_times(before_fn, after_fn, pairs: int) -> tuple[float, float]:
-    """``(before_s, after_s)`` medians from interleaved paired sampling.
-
-    ``pairs`` back-to-back single-call pairs, alternating which side of
-    the pair goes first so "second call runs warmer" order bias splits
-    evenly instead of accumulating on one side; GC is held off for the
-    bounded duration so a collection cannot skew one sample.
-    """
-    before_times: list[float] = []
-    after_times: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for index in range(pairs):
-            first, second = (
-                (before_fn, after_fn) if index % 2 == 0
-                else (after_fn, before_fn)
-            )
-            started = time.perf_counter()
-            first()
-            middle = time.perf_counter()
-            second()
-            ended = time.perf_counter()
-            if index % 2 == 0:
-                before_times.append(middle - started)
-                after_times.append(ended - middle)
-            else:
-                after_times.append(middle - started)
-                before_times.append(ended - middle)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return _median(before_times), _median(after_times)
-
-
-def _gated_speedup(
-    before_fn, after_fn, pairs: int, floor: float
-) -> tuple[float, float, float]:
-    """``(speedup, before_s, after_s)``; one re-measurement on a gate
-    miss (shared CI runners can jitter a whole pass), keeping whichever
-    round measured the higher ratio."""
-    before_s, after_s = _paired_times(before_fn, after_fn, pairs)
-    if before_s / after_s < floor:
-        retry_before, retry_after = _paired_times(before_fn, after_fn, pairs)
-        if retry_before / retry_after > before_s / after_s:
-            before_s, after_s = retry_before, retry_after
-    return before_s / after_s, before_s, after_s
 
 
 def _merge_bench(updates: dict) -> None:
@@ -147,7 +84,7 @@ def test_aserta_vectorization_speedup(benchmark):
     )
     assert relative <= 1e-9
 
-    speedup, before_s, after_s = _gated_speedup(
+    speedup, before_s, after_s = gated_speedup(
         lambda: analyzer.analyze(engine="reference"),
         lambda: analyzer.analyze(engine="array"),
         pairs=15,
@@ -201,26 +138,24 @@ def test_fused_sweep_speedup(benchmark):
         idx, delays, generated, analyzer.config.n_sample_widths
     )
     plan = analyzer.sweep_plan
-    backend = analyzer.backend
 
     def fused():
         return electrical_masking_many(
-            analyzer.structure, delays, generated, samples,
-            backend=backend, plan=plan,
+            analyzer.structure, delays, generated, samples, plan=plan,
         )
 
     def unfused():
         return electrical_masking_many(
-            analyzer.structure, delays, generated, samples,
-            backend=backend, plan=plan, fused=False,
+            analyzer.structure, delays, generated, samples, plan=plan,
+            fused=False,
         )
 
     # The gate only means something if the two paths compute the same
-    # thing: the NumPy fused sweep's contract is *bitwise* identity on
-    # the exact tensors being timed (warms both paths too).
+    # thing: the fused sweep's contract is *bitwise* identity on the
+    # exact tensors being timed (warms both paths too).
     np.testing.assert_array_equal(fused(), unfused())
 
-    speedup, unfused_s, fused_s = _gated_speedup(
+    speedup, unfused_s, fused_s = gated_speedup(
         unfused, fused, pairs=61, floor=MIN_SWEEP_SPEEDUP
     )
     benchmark.pedantic(fused, iterations=5, rounds=3)
@@ -230,7 +165,6 @@ def test_fused_sweep_speedup(benchmark):
             "sweep": {
                 "circuit": "c432",
                 "lanes": SWEEP_LANES,
-                "backend": backend.name,
                 "bitwise_identical": True,
                 "unfused_s": unfused_s,
                 "fused_s": fused_s,

@@ -14,12 +14,12 @@ campaign, each validated and held to the >=90% span-coverage bar.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import time
 from pathlib import Path
 
+from conformance import paired_times
 from repro.campaign import SEA_LEVEL, CampaignRunner, CampaignSpec, ResultStore
 from repro.campaign.environments import AVIONICS
 from repro.circuit.iscas85 import iscas85_circuit
@@ -72,64 +72,19 @@ def _analyze_baseline(analyzer: AsertaAnalyzer) -> float:
     return report.total
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
 def _paired_overhead(
     base_fn, other_fn, pairs: int
 ) -> tuple[float, float, float]:
-    """``(overhead, base_s, other_s)`` from interleaved paired sampling.
+    """``(overhead, base_s, other_s)`` from interleaved paired sampling
+    (:func:`conformance.paired_times`).
 
-    Timing each side in a separate best-of pass lets slow drift
-    (thermal throttle, host CPU contention under a shared VM, a
-    background process waking up) land entirely on whichever side ran
-    second, which showed up as measured "overheads" of either sign with
-    magnitudes at the 3% gate itself.  Instead the two sides are timed
-    as ``pairs`` back-to-back single-call pairs — alternating which
-    side of the pair goes first, so "second call runs warmer" order
-    bias is split evenly rather than accumulating on one side — and
-    the overhead is the ratio of the two per-side *medians*.  The
-    samples of both sides interleave at call granularity (a few ms),
-    far finer than the drift they need to cancel, and the median
-    discards preempted outliers; measured spread on a host whose
-    absolute timings drifted 25% within one run stays within ~1%,
-    where the separate best-of passes spread over +/-3%.  A garbage
-    collection landing inside one call would skew its sample, so GC is
-    held off for the (bounded) duration.  ``base_s``/``other_s`` are
-    the median per-call times, reported for the table.
+    Separate best-of passes per side showed measured "overheads" of
+    either sign with magnitudes at the 3% gate itself; on a host whose
+    absolute timings drifted 25% within one run, the paired medians
+    stay within ~1%.  ``base_s``/``other_s`` are the median per-call
+    times, reported for the table.
     """
-    base_times: list[float] = []
-    other_times: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for index in range(pairs):
-            first, second = (
-                (base_fn, other_fn) if index % 2 == 0 else (other_fn, base_fn)
-            )
-            started = time.perf_counter()
-            first()
-            middle = time.perf_counter()
-            second()
-            ended = time.perf_counter()
-            first_s, second_s = middle - started, ended - middle
-            if index % 2 == 0:
-                base_times.append(first_s)
-                other_times.append(second_s)
-            else:
-                other_times.append(first_s)
-                base_times.append(second_s)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    base_s = _median(base_times)
-    other_s = _median(other_times)
+    base_s, other_s = paired_times(base_fn, other_fn, pairs)
     return other_s / base_s - 1.0, base_s, other_s
 
 

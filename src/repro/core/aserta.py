@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.circuit.netlist import Circuit
 from repro.core.electrical_masking import (
     ElectricalMaskingResult,
@@ -103,15 +102,6 @@ class AsertaConfig:
     #: Equation-2 denominator cutoff below which a deep-chain route is
     #: dropped (see :data:`repro.core.masking.DEFAULT_SHARE_EPSILON`).
     share_epsilon: float = DEFAULT_SHARE_EPSILON
-    #: Array backend executing the fused Section-3.2 sweep plan:
-    #: ``None`` defers to the ``REPRO_ARRAY_BACKEND`` environment
-    #: variable (default ``"numpy"``).  The NumPy backend is bitwise
-    #: identical to the reference array path; any other registered
-    #: backend compares within its declared tolerance (see
-    #: :mod:`repro.backend`).  *Not* a scenario axis: campaigns hash
-    #: analysis inputs, and a conforming backend is an implementation
-    #: detail, not an input.
-    array_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_vectors < 1:
@@ -134,11 +124,6 @@ class AsertaConfig:
         if not self.share_epsilon > 0.0:
             raise AnalysisError(
                 f"share_epsilon must be > 0, got {self.share_epsilon}"
-            )
-        if self.array_backend is not None and not self.array_backend.strip():
-            raise AnalysisError(
-                "array_backend must be a backend name or None, got "
-                f"{self.array_backend!r}"
             )
 
 
@@ -268,17 +253,11 @@ class AsertaAnalyzer:
                 self.config.seed,
                 epsilon=self.share_epsilon,
             )
-        #: Resolved array backend (config > ``REPRO_ARRAY_BACKEND`` env
-        #: > numpy) — raises listing the registered names when unknown.
-        self.backend = resolve_backend(self.config.array_backend)
         #: Compiled Section-3.2 sweep plan (fused per-level gathers and
-        #: slot schedule), served from the artifact cache under a
-        #: backend-qualified key and shared by :meth:`analyze` and
-        #: :meth:`analyze_many`.
+        #: slot schedule), served from the artifact cache and shared by
+        #: :meth:`analyze` and :meth:`analyze_many`.
         with self.telemetry.span(
-            "aserta.init.sweep_plan",
-            circuit=circuit.name,
-            backend=self.backend.name,
+            "aserta.init.sweep_plan", circuit=circuit.name
         ):
             self.sweep_plan = self.engine.sweep_plan(
                 circuit,
@@ -286,7 +265,6 @@ class AsertaAnalyzer:
                 self.config.n_vectors,
                 self.config.seed,
                 epsilon=self.share_epsilon,
-                backend=self.backend.name,
                 structure=self.structure,
             )
         self._sensitized_paths: dict[str, dict[str, float]] | None = None
@@ -385,7 +363,6 @@ class AsertaAnalyzer:
                         elec,
                         sample_widths=sample_widths,
                         structure=self.structure,
-                        backend=self.backend,
                         plan=self.sweep_plan,
                     )
                 with telemetry.span("aserta.reduce"):
@@ -560,7 +537,6 @@ class AsertaAnalyzer:
                         arrays["delay_ps"],
                         arrays["generated_width_ps"],
                         samples,
-                        backend=self.backend,
                         plan=self.sweep_plan,
                     )
                 # Equations 3-4 lane by lane over contiguous slices: the

@@ -22,13 +22,15 @@ One pass costs ``O((V + E) * k * |outputs|)``; Lemma 1 (wide glitches
 arrive with expected width ``w * P_ij``) holds by construction and is
 property-tested.
 
-Two implementations share that contract.  :func:`electrical_masking` is
-the production path: the whole ``WS`` table lives as one ``(V, O, k+1)``
-tensor over the indexed circuit, levels are swept output-side-first, and
-each level's gates resolve in a handful of NumPy reductions
-(Equation 1 via :func:`~repro.tech.glitch.propagate_width_grid`, the
-successor lookup as a gathered linear interpolation, Equation 2 as an
-``(E, O)`` share matrix from :class:`~repro.core.masking.MaskingStructure`).
+Two implementations share that contract.  The array path sweeps a
+*population*: :func:`electrical_masking_many` keeps the whole ``WS``
+table of ``B`` candidates as one ``(B, V, O, k+1)`` tensor over the
+indexed circuit, sweeps levels output-side-first, and resolves each
+level's gates in a handful of NumPy reductions (Equation 1 via
+:func:`~repro.tech.glitch.propagate_width_grid_batch`, the successor
+lookup as a gathered linear interpolation, Equation 2 as an ``(E, O)``
+share matrix from :class:`~repro.core.masking.MaskingStructure`);
+:func:`electrical_masking` is lane 0 of the same body at ``B = 1``.
 :func:`electrical_masking_reference` is the original dict-of-dicts
 per-gate walk, kept as the differential-testing and benchmarking
 baseline.
@@ -42,8 +44,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.backend.base import ArrayBackend
 from repro.circuit.indexed import IndexedCircuit
 from repro.circuit.netlist import Circuit
 from repro.core.masking import (
@@ -55,12 +55,8 @@ from repro.core.masking import (
 from repro.core.sweep_plan import SweepPlan, sweep_plan_for
 from repro.errors import AnalysisError
 from repro.tech.electrical_view import CircuitElectrical
-from repro.tech.glitch import (
-    propagate_width_array,
-    propagate_width_grid,
-    propagate_width_grid_batch,
-)
-from repro.tech.lut import bracket_queries, bracket_queries_rows
+from repro.tech.glitch import propagate_width_array, propagate_width_grid_batch
+from repro.tech.lut import bracket_queries_rows
 
 
 _TAKE_GRIDS: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
@@ -264,11 +260,10 @@ def electrical_masking(
     sample_widths: np.ndarray | None = None,
     structure: MaskingStructure | None = None,
     epsilon: float = DEFAULT_SHARE_EPSILON,
-    backend: ArrayBackend | str | None = None,
     plan: SweepPlan | None = None,
     fused: bool = True,
 ) -> ElectricalMaskingResult:
-    """Run the Section-3.2 pass over the array core.
+    """Run the Section-3.2 pass for one candidate over the array core.
 
     ``structure`` carries the assignment-independent Equation-2 shares;
     pass a prebuilt one (as :class:`~repro.core.aserta.AsertaAnalyzer`
@@ -282,12 +277,14 @@ def electrical_masking(
     copies).  ``epsilon`` is the Equation-2 route-dropping cutoff, used
     only when the structure is built here.
 
-    ``fused`` (the default) executes the sweep through the compiled
-    :class:`~repro.core.sweep_plan.SweepPlan` on the selected array
-    ``backend`` — bitwise identical to the unfused per-level loop on
-    the NumPy backend, which ``fused=False`` keeps available as the
-    in-tree reference for the differential suite.  ``plan`` short-cuts
-    the per-structure plan cache when the caller already holds one.
+    The sweep is lane 0 of the population body
+    :func:`electrical_masking_many` runs, at ``B = 1``.  ``fused`` (the
+    default) executes it through the compiled
+    :class:`~repro.core.sweep_plan.SweepPlan` — bitwise identical to
+    the unfused per-level loop, which ``fused=False`` keeps available as
+    the in-tree reference for the differential suite.  ``plan``
+    short-cuts the per-structure plan cache when the caller already
+    holds one.
     """
     samples = (
         default_sample_widths(elec) if sample_widths is None
@@ -311,68 +308,20 @@ def electrical_masking(
             "masking structure was built for a different circuit "
             f"({structure.indexed.circuit.name!r} vs {circuit.name!r})"
         )
-    idx = structure.indexed
     arrays = elec.arrays()
-    delays = arrays["delay_ps"]
-    generated = arrays["generated_width_ps"]
-
-    n_samples = samples.size
-    anchored_x = np.concatenate(([0.0], samples))
-    ws = np.zeros((idx.n_signals, idx.n_outputs, n_samples + 1))
-
-    # Step (ii): PO gates present the samples directly to their latch
-    # and nothing to other latches.
-    po_rows = idx.output_rows
-    po_cols = idx.col_of_row[po_rows]
-    ws[po_rows, po_cols, 1:] = samples
-
-    # Equation 1 for the whole circuit: what each gate (as a successor)
-    # does to every sample width, and where that lands on the anchored
-    # grid (the same clamped-bracket semantics as every table lookup).
-    attenuated = propagate_width_grid(samples, delays)
-    low, high, frac = bracket_queries(anchored_x, attenuated, "width")
-
-    # Step (iii), one logic level at a time from the output side: gather
-    # successor tables, interpolate at the attenuated widths, combine
-    # with the Equation-2 shares, scatter-add onto the sources.
-    if fused:
-        if not isinstance(backend, ArrayBackend):
-            backend = resolve_backend(backend)
-        if plan is None:
-            plan = sweep_plan_for(structure, backend)
-        plan.run_single(ws, low, high, frac, backend)
-    else:
-        inner = ws[:, :, 1:]
-        edge_share = structure.edge_shares
-        edge_dst = idx.edge_dst
-        for edges, batch_slots in zip(
-            structure.sweep_batches, _sweep_slots(structure)
-        ):
-            dst = edge_dst[edges]
-            tab = ws[dst]
-            f = frac[dst][:, np.newaxis, :]
-            t_lo = _take_last(tab, low[dst][:, np.newaxis, :])
-            t_hi = _take_last(tab, high[dst][:, np.newaxis, :])
-            contribution = t_lo * (1.0 - f) + t_hi * f
-            weighted = edge_share[edges][:, :, np.newaxis] * contribution
-            for pos, srcs in batch_slots:
-                inner[srcs] += weighted[pos]
-
-    # Step (iv): expected widths for the generated glitches, one
-    # interpolation per (gate, output) out of the same tensor.
-    g_low, g_high, g_frac = bracket_queries(anchored_x, generated, "width")
-    g_lo = _take_last(ws, g_low[:, np.newaxis, np.newaxis])
-    g_hi = _take_last(ws, g_high[:, np.newaxis, np.newaxis])
-    expected = (
-        g_lo[:, :, 0] * (1.0 - g_frac[:, np.newaxis])
-        + g_hi[:, :, 0] * g_frac[:, np.newaxis]
+    ws, expected = _sweep_lanes(
+        structure,
+        arrays["delay_ps"][np.newaxis, :],
+        arrays["generated_width_ps"][np.newaxis, :],
+        samples[np.newaxis, :],
+        plan,
+        fused,
     )
-    # A PO gate's generated glitch reaches its own latch unattenuated.
-    expected[po_rows, po_cols] = generated[po_rows]
-
     return ElectricalMaskingResult(
         sample_widths=samples,
-        arrays=MaskingArrays(indexed=idx, ws=ws, expected=expected),
+        arrays=MaskingArrays(
+            indexed=structure.indexed, ws=ws[0], expected=expected[0]
+        ),
     )
 
 
@@ -415,7 +364,6 @@ def electrical_masking_many(
     delays: np.ndarray,
     generated: np.ndarray,
     sample_widths: np.ndarray,
-    backend: ArrayBackend | str | None = None,
     plan: SweepPlan | None = None,
     fused: bool = True,
 ) -> np.ndarray:
@@ -427,21 +375,18 @@ def electrical_masking_many(
     the only masking output the batched cost loop needs, so per-candidate
     ``WS`` dict views and reports are never materialized.
 
-    Lane ``b`` performs the exact operation sequence of
-    :func:`electrical_masking` on candidate ``b`` (same gathers, same
-    ``np.add.at`` accumulation order per lane), so the expected-width
-    matrices — and the Equation-4 totals reduced from them — are
-    bit-identical to the one-candidate path.
+    Lanes are independent: lane ``b`` performs the exact operation
+    sequence :func:`electrical_masking` performs on candidate ``b``
+    alone (the same body at ``B = 1``), so the expected-width matrices —
+    and the Equation-4 totals reduced from them — are bit-identical to
+    the one-candidate path.
 
     ``fused`` (the default) runs the sweep through the compiled
-    :class:`~repro.core.sweep_plan.SweepPlan` on ``backend``
-    (``None`` resolves the config/env/NumPy selection chain); the
-    NumPy backend is bitwise identical to the unfused per-level loop,
-    which ``fused=False`` preserves as the differential reference.
+    :class:`~repro.core.sweep_plan.SweepPlan`, bitwise identical to the
+    unfused per-level loop, which ``fused=False`` preserves as the
+    differential reference.
     """
     idx = structure.indexed
-    if fused and not isinstance(backend, ArrayBackend):
-        backend = resolve_backend(backend)
     delays = np.asarray(delays, dtype=np.float64)
     samples = np.asarray(sample_widths, dtype=np.float64)
     generated = np.asarray(generated, dtype=np.float64)
@@ -455,27 +400,47 @@ def electrical_masking_many(
         )
     if np.any(np.diff(samples, axis=1) <= 0.0):
         raise AnalysisError("sample widths must be strictly increasing rows")
+    return _sweep_lanes(structure, delays, generated, samples, plan, fused)[1]
+
+
+def _sweep_lanes(
+    structure: MaskingStructure,
+    delays: np.ndarray,
+    generated: np.ndarray,
+    samples: np.ndarray,
+    plan: SweepPlan | None,
+    fused: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The population sweep body: ``(ws, expected)`` for validated
+    ``(B, V)`` delays / generated widths and ``(B, k)`` sample grids —
+    the anchored ``(B, V, O, k+1)`` ``WS`` tensor and the ``(B, V, O)``
+    Equation-3 weights."""
+    idx = structure.indexed
     n_lanes, n_samples = samples.shape
     anchored_x = np.concatenate(
         (np.zeros((n_lanes, 1)), samples), axis=1
     )
     ws = np.zeros((n_lanes, idx.n_signals, idx.n_outputs, n_samples + 1))
 
+    # Step (ii): PO gates present the samples directly to their latch
+    # and nothing to other latches.
     po_rows = idx.output_rows
     po_cols = idx.col_of_row[po_rows]
     ws[:, po_rows, po_cols, 1:] = samples[:, np.newaxis, :]
 
-    attenuated = (
-        backend.attenuate_batch(samples, delays)
-        if fused
-        else propagate_width_grid_batch(samples, delays)
-    )
+    # Equation 1 for the whole circuit: what each gate (as a successor)
+    # does to every sample width, and where that lands on the anchored
+    # grid (the same clamped-bracket semantics as every table lookup).
+    attenuated = propagate_width_grid_batch(samples, delays)
     low, high, frac = bracket_queries_rows(anchored_x, attenuated, "width")
 
+    # Step (iii), one logic level at a time from the output side: gather
+    # successor tables, interpolate at the attenuated widths, combine
+    # with the Equation-2 shares, scatter-add onto the sources.
     if fused:
         if plan is None:
-            plan = sweep_plan_for(structure, backend)
-        plan.run_batch(ws, low, high, frac, backend)
+            plan = sweep_plan_for(structure)
+        plan.run_batch(ws, low, high, frac)
     else:
         inner = ws[..., 1:]
         edge_share = structure.edge_shares
@@ -495,6 +460,8 @@ def electrical_masking_many(
             for pos, srcs in batch_slots:
                 inner[:, srcs] += weighted[:, pos]
 
+    # Step (iv): expected widths for the generated glitches, one
+    # interpolation per (gate, output) out of the same tensor.
     g_low, g_high, g_frac = bracket_queries_rows(
         anchored_x, generated, "width"
     )
@@ -504,8 +471,9 @@ def electrical_masking_many(
         g_lo[..., 0] * (1.0 - g_frac[:, :, np.newaxis])
         + g_hi[..., 0] * g_frac[:, :, np.newaxis]
     )
+    # A PO gate's generated glitch reaches its own latch unattenuated.
     expected[:, po_rows, po_cols] = generated[:, po_rows]
-    return expected
+    return ws, expected
 
 
 def electrical_masking_reference(

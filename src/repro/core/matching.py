@@ -16,9 +16,9 @@ gate's match depends only on its successors' chosen cells, and every
 successor lives at a strictly smaller reverse level, so one block per
 level is the exact dependency order of the paper's PO-to-PI walk.  The
 fan-out load sums accumulate slot by slot in declaration order (never
-``reduceat``, which would reassociate the floating-point adds), so the
-level-batched matcher picks bitwise-identical cells to the per-gate
-walk (kept as ``MatchingEngine(level_batched=False)``).
+``reduceat``, which would reassociate the floating-point adds), so
+every lane picks bitwise the cells the scalar :meth:`MatchingEngine.match`
+picks for its targets.
 """
 
 from __future__ import annotations
@@ -266,26 +266,23 @@ class _LevelBlock:
 class MatchingEngine:
     """Matches delay assignments onto a discrete cell library.
 
-    ``level_batched`` selects the population matcher's schedule: the
-    default scores one ``(lanes, gates, cells)`` block per reverse
-    logic level; ``False`` keeps the original per-gate walk.  Both pick
-    bitwise-identical cells — the flag exists for differential testing
-    and benchmarking.  ``telemetry`` records ``matcher.match_batch``
-    spans and the dirty-wave counters (``matcher.pairs.rescored`` /
-    ``matcher.pairs.total``) quantifying how much scoring work the
-    delta fast path avoids.
+    :meth:`match` is the scalar per-gate walk (the oracle); the
+    population matcher :meth:`match_batch` scores one
+    ``(lanes, gates, cells)`` block per reverse logic level and picks
+    bitwise the same cells.  ``telemetry`` records
+    ``matcher.match_batch`` spans and the dirty-wave counters
+    (``matcher.pairs.rescored`` / ``matcher.pairs.total``) quantifying
+    how much scoring work the delta fast path avoids.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         library: CellLibrary,
-        level_batched: bool = True,
         telemetry=None,
     ) -> None:
         self.circuit = circuit
         self.library = library
-        self.level_batched = bool(level_batched)
         self.telemetry = resolve(telemetry)
         self._arrays: dict[tuple[GateType, int], _CellArrays] = {}
         self._reverse_order = tuple(
@@ -300,37 +297,6 @@ class MatchingEngine:
             arrays = _CellArrays(gtype, fanin, self.library.cells())
             self._arrays[key] = arrays
         return arrays
-
-    def _row_plan(self):
-        """Reverse-topological per-gate plan over indexed rows.
-
-        One tuple per gate, in exactly :attr:`_reverse_order` order:
-        ``(name, row, fanout_rows, is_output, cell_arrays)``.  Built
-        once per engine; the batched matcher walks it instead of chasing
-        name-keyed maps.
-        """
-        plan = getattr(self, "_plan", None)
-        if plan is None:
-            idx = self.circuit.indexed()
-            plan = []
-            for name in self._reverse_order:
-                gate = self.circuit.gate(name)
-                row = idx.index[name]
-                fanouts = tuple(
-                    idx.index[s] for s in self.circuit.fanouts(name)
-                )
-                plan.append(
-                    (
-                        name,
-                        row,
-                        fanouts,
-                        np.array(fanouts, dtype=np.int64),
-                        self.circuit.is_output(name),
-                        self._cell_arrays(gate.gtype, gate.fanin_count),
-                    )
-                )
-            self._plan = plan
-        return plan
 
     def _ramp_row(self, input_ramps) -> np.ndarray:
         """Dense per-row input-ramp estimates (``PRIMARY_INPUT_RAMP_PS``
@@ -363,8 +329,10 @@ class MatchingEngine:
             return cached[2]
         idx = self.circuit.indexed()
         out = np.full(idx.n_signals, -1, dtype=np.int64)
-        for name, row, __f, __fa, __o, arrays in self._row_plan():
-            out[row] = arrays.cell_pos.get(anchor[name], -1)
+        for name in self._reverse_order:
+            gate = self.circuit.gate(name)
+            arrays = self._cell_arrays(gate.gtype, gate.fanin_count)
+            out[idx.index[name]] = arrays.cell_pos.get(anchor[name], -1)
         self._anchor_cache = (anchor, anchor.version, out)
         return out
 
@@ -516,141 +484,12 @@ class MatchingEngine:
         with tel.span(
             "matcher.match_batch",
             lanes=targets.shape[0],
-            mode="level" if self.level_batched else "gate",
             delta=reference is not None,
         ):
-            if self.level_batched:
-                return self._match_batch_levelwise(
-                    targets, ramp_row, anchor_row, reference, changed,
-                    frug_key, anchor_bonus_ps,
-                )
-            return self._match_batch_gatewise(
+            return self._match_batch_levelwise(
                 targets, ramp_row, anchor_row, reference, changed,
                 frug_key, anchor_bonus_ps,
             )
-
-    def _match_batch_gatewise(
-        self,
-        targets: np.ndarray,
-        ramp_row: np.ndarray,
-        anchor_row: np.ndarray | None,
-        reference: BatchMatchState | None,
-        changed: np.ndarray | None,
-        frug_key: tuple[float, float, float],
-        anchor_bonus_ps: float,
-    ) -> BatchMatchState:
-        """The per-gate population matcher (one score block per gate).
-
-        Kept verbatim as the reference schedule the level-batched
-        matcher is differentially tested against.
-        """
-        idx = self.circuit.indexed()
-        n_lanes = targets.shape[0]
-        plan = self._row_plan()
-        cells = self.library.cells()
-
-        if reference is None:
-            cell_idx = np.full((n_lanes, idx.n_signals), -1, dtype=np.int64)
-            input_cap = np.zeros((n_lanes, idx.n_signals))
-            vdd = np.zeros((n_lanes, idx.n_signals))
-            dirty = None
-        else:
-            shape = (n_lanes, idx.n_signals)
-            cell_idx = np.broadcast_to(reference.cell_idx, shape).copy()
-            input_cap = np.broadcast_to(reference.input_cap, shape).copy()
-            vdd = np.broadcast_to(reference.vdd, shape).copy()
-            dirty = np.zeros(shape, dtype=bool)
-            # Conservative pre-pass: a gate can only differ from the
-            # reference if its own target changed in *some* lane or some
-            # successor might — the union fan-in cone of all changes.
-            # Gates outside it skip with one boolean test instead of
-            # per-lane mask algebra (the common case under sparse
-            # coordinate probes).
-            may_change = changed.any(axis=0).copy()
-            for __n, row, __f, fanout_rows, __o, __a in plan:
-                if not may_change[row] and fanout_rows.size:
-                    if may_change[fanout_rows].any():
-                        may_change[row] = True
-
-        for name, row, fanouts, fanout_rows, is_output, arrays in plan:
-            if dirty is None:
-                lanes = None
-                active = n_lanes
-            else:
-                if not may_change[row]:
-                    continue
-                mask = changed[:, row]
-                if fanout_rows.size:
-                    mask = mask | dirty[:, fanout_rows].any(axis=1)
-                lanes = np.flatnonzero(mask)
-                active = lanes.size
-                if active == 0:
-                    continue
-
-            load = k.WIRE_CAP_PER_FANOUT_FF * max(1, len(fanouts))
-            loadv = np.full(active, load)
-            vdd_floor = np.zeros(active)
-            for successor in fanouts:
-                if lanes is None:
-                    loadv += input_cap[:, successor]
-                    np.maximum(vdd_floor, vdd[:, successor], out=vdd_floor)
-                else:
-                    loadv += input_cap[lanes, successor]
-                    np.maximum(vdd_floor, vdd[lanes, successor], out=vdd_floor)
-            if is_output:
-                loadv += k.LATCH_CAP_FF
-
-            ramp = float(ramp_row[row])
-            delays = (
-                arrays.slope[np.newaxis, :]
-                * (arrays.self_cap[np.newaxis, :] + loadv[:, np.newaxis])
-                + k.RAMP_DELAY_FRACTION * ramp
-            )
-            row_targets = (
-                targets[:, row] if lanes is None else targets[lanes, row]
-            )
-            error = np.abs(delays - row_targets[:, np.newaxis])
-            frugality = arrays.frugality(*frug_key)
-            # Fast path for the common no-constraint case: when every
-            # cell clears the VDD floor (floor at or below the library
-            # minimum), the eligibility mask is all-true and score ==
-            # error + frugality outright — same values, fewer kernels.
-            if float(vdd_floor.max(initial=0.0)) - 1e-12 <= arrays.vdd_min:
-                score = error + frugality[np.newaxis, :]
-                if anchor_row is not None and anchor_row[row] >= 0:
-                    score[:, int(anchor_row[row])] -= anchor_bonus_ps
-            else:
-                eligible = (
-                    arrays.vdd[np.newaxis, :] >= vdd_floor[:, np.newaxis] - 1e-12
-                )
-                if not eligible.any(axis=1).all():
-                    raise OptimizationError(
-                        f"no library cell satisfies the VDD floor for gate "
-                        f"{name!r}; extend the library's VDD menu"
-                    )
-                score = np.where(
-                    eligible, error + frugality[np.newaxis, :], np.inf
-                )
-                if anchor_row is not None and anchor_row[row] >= 0:
-                    a_idx = int(anchor_row[row])
-                    bonus_lanes = eligible[:, a_idx]
-                    score[bonus_lanes, a_idx] -= anchor_bonus_ps
-            best = np.argmin(score, axis=1)
-
-            if lanes is None:
-                cell_idx[:, row] = best
-                input_cap[:, row] = arrays.input_cap[best]
-                vdd[:, row] = arrays.vdd[best]
-            else:
-                previous = cell_idx[lanes, row]
-                cell_idx[lanes, row] = best
-                input_cap[lanes, row] = arrays.input_cap[best]
-                vdd[lanes, row] = arrays.vdd[best]
-                dirty[lanes, row] = best != previous
-
-        return BatchMatchState(
-            cells=cells, cell_idx=cell_idx, input_cap=input_cap, vdd=vdd
-        )
 
     def _level_plan(self) -> tuple[_LevelBlock, ...]:
         """Per-reverse-level score blocks (empty levels dropped).
@@ -703,7 +542,7 @@ class MatchingEngine:
         ``active_mask`` marks which ``(lane, gate)`` entries are live —
         only they participate in the no-eligible-cell check, entries
         outside it merely ride along in the rectangle.  Every arithmetic
-        expression matches the per-gate matcher operation for operation,
+        expression matches the scalar matcher operation for operation,
         so the chosen cells are bitwise those of the scalar walk.
         """
         if gsel is None:
@@ -738,7 +577,7 @@ class MatchingEngine:
         # score = |delay - target| + frugality, built in place; the
         # anchor bonus lands before the ineligible fill below, so an
         # ineligible anchor cell still scores inf — exactly the masked
-        # arithmetic (and the bit pattern) of the per-gate matcher.
+        # arithmetic (and the bit pattern) of the scalar matcher.
         score = np.abs(delays - row_targets[:, :, np.newaxis])
         score += frug[np.newaxis, :, :]
         if ga is not None and ga.size:
@@ -781,9 +620,9 @@ class MatchingEngine:
         """The level-batched population matcher.
 
         One ``(lanes, gates, cells)`` score block per reverse logic
-        level replaces the per-gate walk: every successor of a level's
-        gates was finalized at a smaller reverse level, so the block
-        sees exactly the loads and VDD floors the scalar walk would.
+        level: every successor of a level's gates was finalized at a
+        smaller reverse level, so the block sees exactly the loads and
+        VDD floors the scalar walk would.
         Fan-out load updates accumulate slot by slot in declaration
         order (a fixed-order segment sum, never ``reduceat``), keeping
         the chosen cells bitwise identical.  The delta fast path scores
@@ -947,7 +786,6 @@ class MatchingEngine:
         max_delay_ps: float,
         anchor: ParameterAssignment | None = None,
         repair_rounds: int = 3,
-        reference: tuple[np.ndarray, BatchMatchState] | None = None,
     ) -> BatchMatchState:
         """:meth:`match_with_timing` for a population of target vectors.
 
@@ -957,10 +795,8 @@ class MatchingEngine:
         annotation), timing via the batched STA, and the
         shrink-negative-slack update applies the same expressions — so
         the per-round convergence decisions, and therefore the final
-        cells, are identical per lane.  ``reference`` is an optional
-        ``(ref_targets, ref_state)`` pair enabling the round-0 delta
-        fast path; repair rematches always run delta-style against the
-        lane's own previous round.
+        cells, are identical per lane.  Repair rematches run delta-style
+        against the lane's own previous round.
         """
         if max_delay_ps <= 0.0:
             raise OptimizationError(
@@ -968,17 +804,7 @@ class MatchingEngine:
             )
         idx = self.circuit.indexed()
         targets = np.array(targets, dtype=np.float64)
-        if reference is not None:
-            ref_targets, ref_state = reference
-            state = self.match_batch(
-                targets,
-                input_ramps,
-                anchor,
-                reference=ref_state,
-                changed=targets != np.asarray(ref_targets)[np.newaxis, :],
-            )
-        else:
-            state = self.match_batch(targets, input_ramps, anchor)
+        state = self.match_batch(targets, input_ramps, anchor)
 
         gate_row_mask = np.zeros(idx.n_signals, dtype=bool)
         gate_row_mask[idx.gate_rows] = True

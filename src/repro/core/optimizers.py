@@ -25,16 +25,13 @@ from repro.telemetry import resolve
 
 Objective = Callable[[np.ndarray], float]
 
-#: The batched-objective protocol: ``objective_batch(X, base=None)``
-#: takes a ``(B, D)`` stack of candidate points and returns their
-#: ``(B,)`` objective values.  ``base`` is an optional hint — the point
-#: the candidates were derived from (the current search iterate) — that
-#: lets implementations run delta-aware evaluation (SERTOPT's batched
-#: matcher rescores only the gates a probe can actually move).  The
-#: values must equal what the scalar objective returns for the same
-#: points; drivers are free to evaluate speculatively, so implementations
-#: must not count calls — the driver owns the evaluation budget.
-BatchObjective = Callable[..., np.ndarray]
+#: The batched-objective protocol: ``objective_batch(X)`` takes a
+#: ``(B, D)`` stack of candidate points and returns their ``(B,)``
+#: objective values.  The values must equal what the scalar objective
+#: returns for the same points; drivers are free to evaluate
+#: speculatively, so implementations must not count calls — the driver
+#: owns the evaluation budget.
+BatchObjective = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -136,7 +133,7 @@ def minimize_slsqp(
             points = np.concatenate(
                 (x[np.newaxis, :], x[np.newaxis, :] + np.diag(steps))
             )
-            values = objective_batch(points, base=x)
+            values = objective_batch(points)
             # The iterate itself was already counted by scipy's fun(x)
             # call; its batch value (a cache hit for well-behaved
             # objectives) only anchors the differences — recording it
@@ -241,7 +238,7 @@ def minimize_annealing(
         else:
             count = min(batch_size, max_evaluations - counter.evaluations)
             proposals = [draw_proposal() for __ in range(count)]
-            values = objective_batch(np.stack(proposals), base=current_x)
+            values = objective_batch(np.stack(proposals))
             pending = [
                 (proposal, counter.record(proposal, value))
                 for proposal, value in zip(proposals, values)
@@ -274,7 +271,7 @@ def minimize_coordinate(
     seed: int = 0,
     step_schedule: Sequence[float] = (0.5, 0.25, 0.1),
     objective_batch: BatchObjective | None = None,
-    batch_chunk: int = 8,
+    batch_chunk: int = 4,
     telemetry=None,
 ) -> OptimizeResult:
     """Stochastic coordinate descent: probe +-step along one coordinate
@@ -288,7 +285,10 @@ def minimize_coordinate(
     (they were probed from the superseded point) and the sweep resumes
     from the new point, so the visited points, the evaluation count,
     the history and the returned optimum are identical to the scalar
-    driver's — only the wall-clock differs.
+    driver's — only the wall-clock differs.  The default chunk is
+    narrow because SERTOPT's level-batched matcher costs nearly the
+    same per level at any lane count, so small populations waste less
+    speculative work when a probe is accepted mid-chunk.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if objective_batch is not None:
@@ -380,7 +380,7 @@ def _minimize_coordinate_batched(
                         )
                     )
                     probes.append(probe)
-            values = objective_batch(np.stack(probes), base=current_x)
+            values = objective_batch(np.stack(probes))
             speculated += len(probes)
             accepted = False
             for j in range(len(chunk_dims)):
@@ -440,7 +440,6 @@ def run_optimizer(
     max_evaluations: int,
     seed: int = 0,
     objective_batch: BatchObjective | None = None,
-    probe_batch: int | None = None,
     telemetry=None,
 ) -> OptimizeResult:
     """Dispatch to a registered optimizer by name.
@@ -450,13 +449,6 @@ def run_optimizer(
     probes of each sweep (visiting *identical* points on an identical
     budget), annealing scores proposal populations, and SLSQP evaluates
     its finite-difference gradient points in one call.
-
-    ``probe_batch`` sizes those populations (the coordinate driver's
-    probe chunk / annealing's proposal batch; SLSQP's gradient batch is
-    fixed at ``D + 1`` by the finite difference).  ``None`` keeps each
-    driver's default.  The replay accounting makes the visited points
-    independent of the value — only block width, and therefore
-    wall-clock, changes.
 
     ``telemetry`` records one ``optimizer.search`` span around the
     driver plus the ``optimizer.evaluations`` counter (and, for the
@@ -468,10 +460,6 @@ def run_optimizer(
         raise OptimizationError(
             f"unknown optimizer {method!r}; choose from {sorted(OPTIMIZERS)}"
         ) from None
-    if probe_batch is not None and probe_batch < 1:
-        raise OptimizationError(
-            f"probe_batch must be >= 1, got {probe_batch}"
-        )
     tel = resolve(telemetry)
     with tel.span(
         "optimizer.search",
@@ -487,10 +475,6 @@ def run_optimizer(
             )
         else:
             extra: dict = {}
-            if probe_batch is not None:
-                extra[
-                    "batch_chunk" if method == "coordinate" else "batch_size"
-                ] = probe_batch
             if method == "coordinate":
                 extra["telemetry"] = telemetry
             result = driver(

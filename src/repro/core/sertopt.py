@@ -75,18 +75,6 @@ class SertoptConfig:
     #: ``batched_evaluation=False`` to reproduce pre-batching seeded
     #: runs of those two drivers (also the benchmark baseline).
     batched_evaluation: bool = True
-    #: Schedule of the population matcher: the default scores one
-    #: ``(lanes, gates, cells)`` block per reverse logic level;
-    #: ``False`` pins the original per-gate walk.  Both choose bitwise
-    #: identical cells (differentially tested), so this only trades
-    #: wall-clock — the flag exists for benchmarking the two schedules
-    #: against each other.
-    level_batched_matching: bool = True
-    #: Probes evaluated per population call by the batched drivers
-    #: (coordinate probe chunk / annealing proposal batch).  ``None``
-    #: keeps each driver's default; the visited points are identical
-    #: for every value — larger batches only widen the score blocks.
-    probe_batch: int | None = None
     #: ASERTA settings used inside the cost loop.
     aserta: AsertaConfig = field(default_factory=AsertaConfig)
 
@@ -95,10 +83,6 @@ class SertoptConfig:
             raise OptimizationError("max_evaluations must be >= 1")
         if self.coefficient_bound_ps <= 0.0:
             raise OptimizationError("coefficient_bound_ps must be > 0")
-        if self.probe_batch is not None and self.probe_batch < 1:
-            raise OptimizationError(
-                f"probe_batch must be >= 1, got {self.probe_batch}"
-            )
 
 
 @dataclass(frozen=True)
@@ -153,17 +137,14 @@ class _BatchedObjective:
     Implements the :data:`repro.core.optimizers.BatchObjective`
     protocol: a ``(B, D)`` stack of nullspace coefficient vectors maps
     to delay-target vectors (the exact per-candidate arithmetic of
-    ``DelaySpace.assigned_delays``), is matched as one batch —
-    delta-aware against the round-0 match of the ``base`` iterate when
-    the driver supplies one — and is costed through
-    :meth:`CostEvaluator.evaluate_batch`, which rides the analyzer's
-    ``analyze_many`` array pass.  Values are cached under the same
-    rounded-coefficient keys as the serial objective, so speculative
-    driver probes never recompute a visited point.
+    ``DelaySpace.assigned_delays``), is matched as one full
+    level-batched pass — on coordinate-probe populations it costs about
+    what a delta pass against the current iterate's match would — and
+    is costed through :meth:`CostEvaluator.evaluate_batch`, which rides
+    the analyzer's ``analyze_many`` array pass.  Values are cached under
+    the same rounded-coefficient keys as the serial objective, so
+    speculative driver probes never recompute a visited point.
     """
-
-    #: Round-0 reference matches memoized per base point.
-    _MAX_REFS = 8
 
     def __init__(
         self,
@@ -187,7 +168,6 @@ class _BatchedObjective:
         )
         self.ramp_row = engine._ramp_row(ramps)
         self.cache: dict[bytes, float] = {}
-        self._references: dict[bytes, tuple[np.ndarray, object]] = {}
 
     @staticmethod
     def _key(x: np.ndarray) -> bytes:
@@ -205,28 +185,12 @@ class _BatchedObjective:
         out[self.space_rows] = vector
         return out
 
-    def _reference(self, base: np.ndarray):
-        key = self._key(np.asarray(base, dtype=np.float64))
-        ref = self._references.get(key)
-        if ref is None:
-            targets = self._target_row(np.asarray(base, dtype=np.float64))
-            state = self.engine.match_batch(
-                targets[np.newaxis, :], self.ramp_row, anchor=self.baseline
-            )
-            ref = (targets, state)
-            if len(self._references) >= self._MAX_REFS:
-                self._references.pop(next(iter(self._references)))
-            self._references[key] = ref
-        return ref
-
     def single(self, x: np.ndarray) -> float:
         """Scalar objective routed through the batched pipeline, so
         every value a batched search consumes comes from one code path."""
         return float(self(np.asarray(x, dtype=np.float64)[np.newaxis, :])[0])
 
-    def __call__(
-        self, X: np.ndarray, base: np.ndarray | None = None
-    ) -> np.ndarray:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         values = np.empty(X.shape[0])
         lanes_by_key: dict[bytes, list[int]] = {}
@@ -243,19 +207,11 @@ class _BatchedObjective:
             targets = np.stack(
                 [self._target_row(X[lanes[0]]) for __, lanes in pending]
             )
-            # The delta fast path pays off for the per-gate matcher (it
-            # skips whole gates); the level-batched matcher's full pass
-            # costs about the same as its delta pass on coordinate-probe
-            # populations, so skipping the reference match is the faster
-            # schedule there.  Cells are bitwise identical either way.
-            use_reference = base is not None and not self.engine.level_batched
-            reference = self._reference(base) if use_reference else None
             state = self.engine.match_with_timing_batch(
                 targets,
                 self.ramp_row,
                 self.repair_cap_ps,
                 anchor=self.baseline,
-                reference=reference,
             )
             totals = self.evaluator.evaluate_batch(
                 params=state.param_arrays()
@@ -352,10 +308,7 @@ class Sertopt:
                 self.circuit, baseline, use_tables=False
             )
             engine = MatchingEngine(
-                self.circuit,
-                self.library,
-                level_batched=config.level_batched_matching,
-                telemetry=self._telemetry,
+                self.circuit, self.library, telemetry=self._telemetry
             )
             ramps = dict(target_elec.input_ramp_ps)
             baseline_delay = analyze_timing(
@@ -419,19 +372,6 @@ class Sertopt:
             objective = objective_batch.single
 
         x0 = np.zeros(space.dimension)
-        probe_batch = config.probe_batch
-        if (
-            probe_batch is None
-            and objective_batch is not None
-            and config.optimizer == "coordinate"
-            and config.level_batched_matching
-        ):
-            # Narrower probe chunks suit the level-batched matcher: its
-            # per-level cost is nearly lane-count-independent, so small
-            # populations waste less speculative work when a probe is
-            # accepted mid-chunk.  Visited points are identical for any
-            # chunk size (replay accounting); this is wall-clock only.
-            probe_batch = 4
         search = run_optimizer(
             config.optimizer,
             objective,
@@ -440,7 +380,6 @@ class Sertopt:
             max_evaluations=config.max_evaluations,
             seed=config.seed,
             objective_batch=objective_batch,
-            probe_batch=probe_batch,
             telemetry=self._telemetry,
         )
 

@@ -38,13 +38,19 @@ holds only nonnegative finite widths (never ``-0.0``), a zero share
 times a finite contribution is exactly ``+0.0``, and ``x + 0.0 == x``
 bit for bit for every such ``x``.  Each live contribution is computed
 with the identical expression and added in the identical per-cell
-order, so the NumPy backend's fused execution is bitwise identical to
-the unfused loop — the conformance matrix and the Hypothesis suite pin
-this.  Plans are cached per ``(structure, backend name)`` on the
-:class:`~repro.core.masking.MaskingStructure` and, across analyzers,
-in the engine's :class:`~repro.engine.cache.ArtifactCache` under a key
-with an explicit backend axis
+order, so the fused execution is bitwise identical to the unfused loop
+— the conformance matrix and the Hypothesis suite pin this.  Plans are
+cached on the :class:`~repro.core.masking.MaskingStructure` and,
+across analyzers, in the engine's
+:class:`~repro.engine.cache.ArtifactCache`
 (:func:`repro.engine.artifacts.sweep_plan_key`).
+
+Interpolating once per unique cell and then copying onto its pairs
+produces the same doubles each duplicate pair would have computed from
+the same inputs; multiplication is commutative at the bit level in
+IEEE-754, and ``x *= a; x += y`` produces the same doubles as
+``x * a + y`` — which is why the in-place level kernel in
+:meth:`SweepPlan.run_batch` reproduces the unfused expression exactly.
 """
 
 from __future__ import annotations
@@ -53,8 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.backend.base import ArrayBackend
 from repro.core.masking import MaskingStructure
 from repro.errors import AnalysisError
 
@@ -77,10 +81,9 @@ class PlanLevel:
     pstop: int
     #: Pair -> local cell index, ``(P,)`` — the expansion gather.
     pair_cell: np.ndarray
-    #: Nonzero Equation-2 shares, ``(P,)`` with broadcast views.
-    pair_share: np.ndarray
-    share_batch: np.ndarray
-    share_single: np.ndarray
+    #: Nonzero Equation-2 shares, shaped ``(1, P, 1)`` to broadcast over
+    #: lanes and inner samples.
+    share: np.ndarray
     #: Local pair positions per occurrence rank of the scatter target —
     #: replaying them in rank order reproduces the reference
     #: ``np.add.at`` accumulation order per target cell.
@@ -92,13 +95,9 @@ class SweepPlan:
     """Compiled execution plan of the Section-3.2 reverse sweep.
 
     Bound to one :class:`~repro.core.masking.MaskingStructure` (the
-    shares are baked into the levels) and tagged with the array-backend
-    name it was resolved for — the tag is what puts the backend axis on
-    engine cache keys; the index/share content itself is
-    backend-independent.
+    shares are baked into the levels).
     """
 
-    backend_name: str
     n_signals: int
     n_outputs: int
     #: Destination row / output column per gather cell, concatenated
@@ -114,16 +113,15 @@ class SweepPlan:
     _offset_cache: dict = field(default_factory=dict, repr=False)
 
     def _offsets(
-        self, n_lanes: int | None, n_anchors: int
+        self, n_lanes: int, n_anchors: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(gather, scatter)`` flat indices into ``ws.reshape(-1)``:
         ``gather`` addresses anchor 0 of each (lane, cell) table —
         adding a bracket index lands on an interpolation endpoint —
         and ``scatter`` addresses anchor 1 of each (lane, pair) target,
         so adding ``0..k-1`` spans the writable inner samples.  Shapes
-        are ``(B, C, 1)`` / ``(B, P, 1)``, or ``(C, 1)`` / ``(P, 1)``
-        when ``n_lanes`` is ``None`` (single-candidate); cached — the
-        offsets depend only on the tensor shape, never on the data."""
+        are ``(B, C, 1)`` / ``(B, P, 1)``; cached — the offsets depend
+        only on the tensor shape, never on the data."""
         key = (n_lanes, n_anchors)
         offsets = self._offset_cache.get(key)
         if offsets is None:
@@ -133,17 +131,14 @@ class SweepPlan:
             scatter = (
                 self.pair_src * self.n_outputs + self.pair_out
             ) * n_anchors + 1
-            if n_lanes is None:
-                offsets = (gather[:, np.newaxis], scatter[:, np.newaxis])
-            else:
-                lane_stride = self.n_signals * self.n_outputs * n_anchors
-                lanes = np.arange(n_lanes, dtype=np.int64) * lane_stride
-                offsets = (
-                    lanes[:, np.newaxis, np.newaxis]
-                    + gather[np.newaxis, :, np.newaxis],
-                    lanes[:, np.newaxis, np.newaxis]
-                    + scatter[np.newaxis, :, np.newaxis],
-                )
+            lane_stride = self.n_signals * self.n_outputs * n_anchors
+            lanes = np.arange(n_lanes, dtype=np.int64) * lane_stride
+            offsets = (
+                lanes[:, np.newaxis, np.newaxis]
+                + gather[np.newaxis, :, np.newaxis],
+                lanes[:, np.newaxis, np.newaxis]
+                + scatter[np.newaxis, :, np.newaxis],
+            )
             self._offset_cache[key] = offsets
         return offsets
 
@@ -153,13 +148,19 @@ class SweepPlan:
         low: np.ndarray,
         high: np.ndarray,
         frac: np.ndarray,
-        backend: ArrayBackend,
     ) -> None:
         """Execute the sweep over a population, in place on ``ws``.
 
         ``ws`` is the ``(B, V, O, k+1)`` anchored table tensor with the
         PO rows already seeded; ``low``/``high``/``frac`` are the
         ``(B, V, k)`` Equation-1 bracket tensors.
+
+        Per level: gather the live successor interpolation endpoints
+        through the flat offsets, interpolate once per unique
+        ``(destination, output)`` cell, expand onto the live pairs,
+        weight with the nonzero Equation-2 shares, and scatter-add onto
+        the ``(source, output)`` targets slot by slot in the reference
+        accumulation order.
         """
         if ws.shape[1] != self.n_signals or ws.shape[2] != self.n_outputs:
             raise AnalysisError(
@@ -184,50 +185,19 @@ class SweepPlan:
             if level.pstart == level.pstop:
                 continue
             csl = slice(level.cstart, level.cstop)
-            backend.sweep_level_batch(
-                ws_flat, gather[:, csl], scatter[:, level.pstart:level.pstop],
-                m_grid, level,
-                low_c[:, csl], high_c[:, csl], frac_c[:, csl], omf_c[:, csl],
-            )
-
-    def run_single(
-        self,
-        ws: np.ndarray,
-        low: np.ndarray,
-        high: np.ndarray,
-        frac: np.ndarray,
-        backend: ArrayBackend,
-    ) -> None:
-        """Execute the sweep for one candidate (``ws`` is
-        ``(V, O, k+1)``, brackets ``(V, k)``), in place."""
-        if ws.shape[0] != self.n_signals or ws.shape[1] != self.n_outputs:
-            raise AnalysisError(
-                f"sweep plan built for ({self.n_signals}, {self.n_outputs}) "
-                f"cannot run a {ws.shape} tensor"
-            )
-        if not ws.flags.c_contiguous:
-            raise AnalysisError(
-                "sweep plan needs a C-contiguous WS tensor (the flat "
-                "gather offsets assume the default row-major layout)"
-            )
-        if not self.levels:
-            return
-        ws_flat = ws.reshape(-1)
-        low_c = low[self.cell_dst]
-        high_c = high[self.cell_dst]
-        frac_c = frac[self.cell_dst]
-        omf_c = 1.0 - frac_c
-        gather, scatter = self._offsets(None, ws.shape[2])
-        m_grid = np.arange(ws.shape[2] - 1, dtype=np.int64).reshape(1, -1)
-        for level in self.levels:
-            if level.pstart == level.pstop:
-                continue
-            csl = slice(level.cstart, level.cstop)
-            backend.sweep_level_single(
-                ws_flat, gather[csl], scatter[level.pstart:level.pstop],
-                m_grid, level,
-                low_c[csl], high_c[csl], frac_c[csl], omf_c[csl],
-            )
+            cells = gather[:, csl]
+            idx = cells + low_c[:, csl]
+            t_lo = ws_flat[idx]
+            np.add(cells, high_c[:, csl], out=idx)
+            t_hi = ws_flat[idx]
+            t_lo *= omf_c[:, csl]
+            t_hi *= frac_c[:, csl]
+            t_lo += t_hi
+            contribution = t_lo[:, level.pair_cell]
+            contribution *= level.share
+            targets = scatter[:, level.pstart:level.pstop]
+            for pos in level.slots:
+                ws_flat[targets[:, pos] + m_grid] += contribution[:, pos]
 
 
 def _occurrence_slots(keys: np.ndarray) -> tuple:
@@ -256,9 +226,7 @@ def _occurrence_slots(keys: np.ndarray) -> tuple:
     )
 
 
-def build_sweep_plan(
-    structure: MaskingStructure, backend_name: str = "numpy"
-) -> SweepPlan:
+def build_sweep_plan(structure: MaskingStructure) -> SweepPlan:
     """Compile ``structure`` into a :class:`SweepPlan`.
 
     The topology schedule (edge batches per level) is served from the
@@ -299,9 +267,7 @@ def build_sweep_plan(
                 pstart=pcursor,
                 pstop=pcursor + n_pairs,
                 pair_cell=np.ascontiguousarray(pair_cell, dtype=np.int64),
-                pair_share=pair_share,
-                share_batch=pair_share.reshape(1, n_pairs, 1),
-                share_single=pair_share.reshape(n_pairs, 1),
+                share=pair_share.reshape(1, n_pairs, 1),
                 slots=_occurrence_slots(pair_src * n_outputs + pair_out),
             )
         )
@@ -318,7 +284,6 @@ def build_sweep_plan(
         return np.ascontiguousarray(np.concatenate(parts), dtype=np.int64)
 
     return SweepPlan(
-        backend_name=backend_name,
         n_signals=idx.n_signals,
         n_outputs=n_outputs,
         cell_dst=_concat(cell_dst_parts),
@@ -329,26 +294,17 @@ def build_sweep_plan(
     )
 
 
-def sweep_plan_for(
-    structure: MaskingStructure,
-    backend: ArrayBackend | str | None = None,
-) -> SweepPlan:
-    """The plan for ``structure`` under ``backend``, cached per backend
-    name on the structure (the same ``object.__setattr__`` idiom as the
-    slot cache — a frozen dataclass with memoized derived state).
+def sweep_plan_for(structure: MaskingStructure) -> SweepPlan:
+    """The plan for ``structure``, cached on the structure (the same
+    ``object.__setattr__`` idiom as the slot cache — a frozen dataclass
+    with memoized derived state).
 
-    The cache is keyed by backend *name* and the compiled content is
-    assignment-independent, so candidate batches of any width and any
-    mutation of assignments between calls reuse one plan safely.
+    The compiled content is assignment-independent, so candidate
+    batches of any width and any mutation of assignments between calls
+    reuse one plan safely.
     """
-    if not isinstance(backend, ArrayBackend):
-        backend = resolve_backend(backend)
-    plans = getattr(structure, "_sweep_plans", None)
-    if plans is None:
-        plans = {}
-        object.__setattr__(structure, "_sweep_plans", plans)
-    plan = plans.get(backend.name)
+    plan = getattr(structure, "_sweep_plan", None)
     if plan is None:
-        plan = build_sweep_plan(structure, backend.name)
-        plans[backend.name] = plan
+        plan = build_sweep_plan(structure)
+        object.__setattr__(structure, "_sweep_plan", plan)
     return plan

@@ -113,17 +113,9 @@ def sweep_plan_key(
     seed: int,
     input_probabilities: Mapping[str, float] | float,
     epsilon: float,
-    backend: str,
 ) -> str:
-    """Key of one compiled Section-3.2 sweep plan.
-
-    Everything the underlying masking structure depends on, plus the
-    *array backend* axis: a plan resolved for one backend must never be
-    served to another (a JIT backend may precompile kernels against its
-    own layout), so the backend name is a first-class key field —
-    unlike :func:`p_matrix_key`, which is engine-independent because
-    both structural estimators are bit-identical by contract.
-    """
+    """Key of one compiled Section-3.2 sweep plan: everything the
+    underlying masking structure depends on."""
     return artifact_key(
         KIND_SWEEP_PLAN,
         circuit=circuit_digest(circuit),
@@ -131,7 +123,6 @@ def sweep_plan_key(
         seed=int(seed),
         probabilities=probability_digest(input_probabilities),
         epsilon=float(epsilon),
-        backend=str(backend),
     )
 
 

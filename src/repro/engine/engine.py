@@ -238,19 +238,17 @@ class AnalysisEngine:
         n_vectors: int,
         seed: int,
         epsilon: float,
-        backend: str = "numpy",
         structure: "MaskingStructure | None" = None,
     ):
         """The compiled Section-3.2 sweep plan, served from cache.
 
-        Keyed like the masking structure it compiles *plus a backend
-        axis* (:func:`repro.engine.artifacts.sweep_plan_key`): one
-        circuit analyzed under two array backends holds two plans.
-        ``structure`` short-cuts the structure lookup when the caller
-        (an analyzer) already resolved it.  A plan holds only integer
-        schedules and dense shares — all determined by the netlist
-        content the key embeds — so content-equal live circuit copies
-        share one cached plan, exactly like masking structures.
+        Keyed like the masking structure it compiles
+        (:func:`repro.engine.artifacts.sweep_plan_key`).  ``structure``
+        short-cuts the structure lookup when the caller (an analyzer)
+        already resolved it.  A plan holds only integer schedules and
+        dense shares — all determined by the netlist content the key
+        embeds — so content-equal live circuit copies share one cached
+        plan, exactly like masking structures.
         """
         from repro.core.sweep_plan import sweep_plan_for
 
@@ -259,16 +257,14 @@ class AnalysisEngine:
                 circuit, probabilities, n_vectors, seed, epsilon
             )
         key = artifacts.sweep_plan_key(
-            circuit, n_vectors, seed, probabilities, epsilon, backend
+            circuit, n_vectors, seed, probabilities, epsilon
         )
         plan = self.cache.get(key)
         if plan is None:
             with self.telemetry.span(
-                "engine.sweep_plan.build",
-                circuit=circuit.name,
-                backend=backend,
+                "engine.sweep_plan.build", circuit=circuit.name
             ):
-                plan = sweep_plan_for(structure, backend)
+                plan = sweep_plan_for(structure)
             self.cache.put(key, plan)
         return plan
 

@@ -16,8 +16,9 @@ interpolated :class:`~repro.tech.table_builder.TechnologyTables` (the
 paper's ASERTA architecture); ``use_tables=False`` evaluates the
 continuous model directly (the "SPICE" reference path).
 
-The table path runs *vectorized* by default: per-axis grid brackets are
-computed once for the whole gate population
+The table path runs *vectorized* by default, as lane 0 of the
+population annotation :func:`batched_electrical_arrays`: per-axis grid
+brackets are computed once for the whole gate population
 (:func:`repro.tech.lut.bracket_queries`), gates carry a table id from
 the circuit's :class:`~repro.circuit.indexed.IndexedCircuit` grouping,
 and each table *kind* resolves in a single gather through the stacked
@@ -136,12 +137,12 @@ def batched_electrical_arrays(
     ``params`` carries ``(B, V)`` ``size``/``length_nm``/``vdd``/``vth``
     arrays over ``circuit.indexed()`` rows (see
     :func:`stack_cell_param_arrays`); the result maps every field of
-    :meth:`CircuitElectrical.arrays` to a ``(B, V)`` array.  Each lane
-    runs exactly the operations of the single-assignment
-    ``_annotate_arrays`` pass (same gathers, same CSR accumulation
-    order), so lane ``b`` is bit-identical to annotating assignment
-    ``b`` alone — the property the batched SERTOPT objective's
-    equivalence contract rests on.
+    :meth:`CircuitElectrical.arrays` to a ``(B, V)`` array.  Lanes are
+    independent (same gathers, same CSR accumulation order per lane),
+    and the single-assignment table path is this function at ``B = 1``,
+    so lane ``b`` is bit-identical to annotating assignment ``b`` alone
+    — the property the batched SERTOPT objective's equivalence contract
+    rests on.
     """
     idx = circuit.indexed()
     if not idx.group_pairs:
@@ -486,117 +487,16 @@ class CircuitElectrical:
             # handles it directly.
             self._annotate()
             return
-        n = idx.n_signals
-        assignment = self.assignment
-        tables = self.tables
-        rows = idx.gate_rows
-        gid = idx.group_id[rows]
-        pairs = idx.group_pairs
-
-        # Per-row cell parameters (defaults on input rows are unused).
-        params = cell_param_arrays(idx, assignment)
-        size = params["size"]
-        length = params["length_nm"]
-        vdd = params["vdd"]
-        vth = params["vth"]
-
-        # Axis brackets are shared by every table kind (all kinds sample
-        # the same grids), so each is computed once for the whole gate
-        # population; each kind is then a single stacked gather.
-        br_size = bracket_queries(tables.sizes, size[rows], "size")
-        br_length = bracket_queries(tables.lengths_nm, length[rows], "length")
-        br_vdd = bracket_queries(tables.vdds, vdd[rows], "vdd")
-        br_vth = bracket_queries(tables.vths, vth[rows], "vth")
-        cell_br = [br_size, br_length, br_vdd, br_vth]
-
-        # Input-pin capacitance, then load: wire + successor pins (CSR
-        # sum, same edge order as the scalar loop) + latch capacitance.
-        input_cap = np.zeros(n)
-        input_cap[rows] = stacked_lookup(
-            tables.stacked_values("input_cap", pairs), gid, [br_size, br_length]
-        )
-        fanout_counts = np.diff(idx.fanout_ptr)
-        load = k.WIRE_CAP_PER_FANOUT_FF * np.maximum(1, fanout_counts).astype(
-            np.float64
-        )
-        for srcs, dsts in idx.fanout_slot_plan():
-            load[srcs] += input_cap[dsts]
-        load[idx.is_output] += k.LATCH_CAP_FF
-        br_load = bracket_queries(tables.loads_ff, load[rows], "load")
-
-        # Output ramps depend only on the cell and its load, so the whole
-        # circuit resolves in one pass; input ramps are then a CSR max.
-        out_ramp = np.full(n, k.PRIMARY_INPUT_RAMP_PS)
-        out_ramp[rows] = stacked_lookup(
-            tables.stacked_values("ramp", pairs), gid, cell_br + [br_load]
-        )
-        # CSR max over fan-ins: reduceat runs only at the starts of
-        # non-empty segments (consecutive starts are then strictly
-        # increasing and in range), so zero-fanin rows anywhere in the
-        # order neither crash nor truncate a neighbouring segment.
-        ramp_in = np.zeros(n)
-        has_fanins = np.diff(idx.fanin_ptr) > 0
-        if has_fanins.any():
-            ramp_in[has_fanins] = np.maximum.reduceat(
-                out_ramp[idx.fanin_src], idx.fanin_ptr[:-1][has_fanins]
-            )
-        br_ramp = bracket_queries(tables.ramps_ps, ramp_in[rows], "ramp")
-        br_charge = bracket_queries(
-            tables.charges_fc, np.float64(self.charge_fc), "charge"
-        )
-
-        delay = np.zeros(n)
-        delay[rows] = stacked_lookup(
-            tables.stacked_values("delay", pairs), gid,
-            cell_br + [br_load, br_ramp],
-        )
-        width = np.zeros(n)
-        width[rows] = stacked_lookup(
-            tables.stacked_values("glitch", pairs), gid,
-            cell_br + [br_load, br_charge],
-        )
-        leak = np.zeros(n)
-        leak[rows] = stacked_lookup(
-            tables.stacked_values("static_power", pairs), gid, cell_br
-        )
-
-        # Node capacitance and area follow the same arithmetic sequence
-        # as ge.self_capacitance_ff / ge.area_units, per population.
-        node_cap = np.zeros(n)
-        area = np.zeros(n)
-        self_cap_factors = np.array(
-            [ge.self_cap_factor(gtype, fanin) for gtype, fanin in pairs]
-        )
-        transistor_counts = np.array(
-            [float(ge.transistor_count(gtype, fanin)) for gtype, fanin in pairs]
-        )
-        width_nm = size[rows] * k.WIDTH_PER_SIZE_NM
-        node_cap[rows] = (
-            k.DRAIN_CAP_PER_NM_FF * width_nm * self_cap_factors[gid]
-            + load[rows]
-        )
-        area[rows] = (
-            transistor_counts[gid]
-            * size[rows]
-            * (length[rows] / k.NOMINAL_LENGTH_NM)
-        )
-
-        self._arrays = {
-            "load_ff": load,
-            "input_ramp_ps": ramp_in,
-            "output_ramp_ps": out_ramp,
-            "delay_ps": delay,
-            "node_cap_ff": node_cap,
-            "generated_width_ps": width,
-            "static_power_uw": leak,
-            "area_units": area,
-            # The scattered cell parameters, so array consumers (the
-            # analyzer's Eq-3 size weights) don't rebuild them.
-            "size": size,
-            "length_nm": length,
-            "vdd": vdd,
-            "vth": vth,
+        # Lane 0 of the population annotation at B = 1: one code path
+        # for analyze() and analyze_many(), bitwise by construction.
+        params = {
+            field: values[np.newaxis, :]
+            for field, values in cell_param_arrays(idx, self.assignment).items()
         }
+        lanes = batched_electrical_arrays(
+            self.circuit, self.tables, params, self.charge_fc
+        )
+        self._arrays = {field: values[0] for field, values in lanes.items()}
 
     # ------------------------------------------------------------------
     # Array access

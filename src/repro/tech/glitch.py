@@ -48,36 +48,16 @@ def propagate_width_array(widths_ps: np.ndarray, delay_ps: float) -> np.ndarray:
     return np.where(widths < delay_ps, 0.0, out)
 
 
-def propagate_width_grid(
-    widths_ps: np.ndarray, delays_ps: np.ndarray
-) -> np.ndarray:
-    """Equation 1 over a whole circuit at once: ``(V, k)`` output widths
-    for ``k`` sample widths against ``V`` per-gate delays.
-
-    This is :func:`propagate_width_array` evaluated for every gate in one
-    shot — the inner kernel of the vectorized Section-3.2 sweep.
-    """
-    widths = np.asarray(widths_ps, dtype=np.float64)
-    delays = np.asarray(delays_ps, dtype=np.float64)
-    if np.any(widths < 0.0):
-        raise TechnologyError("glitch widths must be >= 0")
-    if np.any(delays < 0.0):
-        raise TechnologyError("gate delays must be >= 0")
-    w = widths[np.newaxis, :]
-    d = delays[:, np.newaxis]
-    doubled = 2.0 * (w - d)
-    out = np.where(w > 2.0 * d, w, doubled)
-    return np.where(w < d, 0.0, out)
-
-
 def propagate_width_grid_batch(
     widths_ps: np.ndarray, delays_ps: np.ndarray
 ) -> np.ndarray:
-    """Equation 1 for a population: ``(B, V, k)`` output widths from
-    per-candidate ``(B, k)`` sample widths and ``(B, V)`` delays.
+    """Equation 1 over whole circuits at once: ``(B, V, k)`` output
+    widths from per-candidate ``(B, k)`` sample widths and ``(B, V)``
+    delays.
 
-    Elementwise identical to :func:`propagate_width_grid` applied one
-    candidate at a time (the batched Section-3.2 sweep's contract).
+    This is :func:`propagate_width_array` evaluated for every candidate
+    and gate in one shot — the inner kernel of the vectorized
+    Section-3.2 sweep.
     """
     widths = np.asarray(widths_ps, dtype=np.float64)
     delays = np.asarray(delays_ps, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Edge cases of the population entry points (``analyze_many``,
 ``evaluate_batch``) around the fused sweep plan.
 
-The plan is compiled once per (circuit, backend) and cached on the
+The plan is compiled once per circuit and cached on the
 masking structure and in the artifact cache — so the cases that could
 plausibly poison or bypass that cache are pinned here: degenerate
 population sizes, populations larger than the memory-capped chunk,

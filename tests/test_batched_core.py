@@ -17,8 +17,8 @@ import pytest
 
 from conformance import (
     RTOL,
+    assert_lanes_match_scalar,
     assert_matcher_states_equal as _assert_states_equal,
-    make_matching_engines as _make_engines,
     mixed_assignments as _mixed_assignments,
 )
 from repro.circuit.generator import GeneratorSpec, generate_circuit
@@ -378,14 +378,17 @@ class TestBatchedMatching:
 
 
 class TestLevelBatchedMatcher:
-    """Level-batched vs per-gate matcher: *exact* differentials.
+    """Level-batched matcher vs the scalar per-gate walk: *exact*
+    differentials.
 
-    The tentpole contract of the level-batched schedule is bitwise
-    identity with the per-gate walk — same cells, same capacitances,
-    same supplies, no tolerance — across every ISCAS'85 netlist, the
-    generator families, and the level-shape edge cases (single-gate
-    levels, fan-out-bearing primary outputs, dead levels under the
-    dirty wave).
+    The contract of the level-batched schedule is that every lane picks
+    exactly the cells scalar :meth:`MatchingEngine.match` (and
+    ``match_with_timing``) picks for its targets — across every
+    ISCAS'85 netlist, the generator families, and the level-shape edge
+    cases (single-gate levels, fan-out-bearing primary outputs, dead
+    levels under the dirty wave).  The delta (dirty-wave) pass is also
+    held bitwise to the full pass: same cells, capacitances and
+    supplies.
     """
 
     LIBRARY = CellLibrary.paper_library(vdds=(0.8, 1.0), vths=(0.2,))
@@ -403,50 +406,48 @@ class TestLevelBatchedMatcher:
         targets = self._random_targets(circuit, lanes, seed=13)
         ramps = {}
         anchor = ParameterAssignment()
-        gate_eng, level_eng = _make_engines(circuit, self.LIBRARY)
-        full_g = gate_eng.match_batch(targets, ramps, anchor=anchor)
-        full_l = level_eng.match_batch(targets, ramps, anchor=anchor)
-        _assert_states_equal(full_g, full_l, f"{name} full pass")
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        full = engine.match_batch(targets, ramps, anchor=anchor)
+        assert_lanes_match_scalar(
+            engine, full, targets, ramps, anchor, context=f"{name} full pass"
+        )
 
         # Delta pass against a one-lane reference, mixed sparse deltas.
-        base = self._random_targets(circuit, 1, seed=14)[0]
-        ref_g = gate_eng.match_batch(base[np.newaxis, :], ramps, anchor=anchor)
-        ref_l = level_eng.match_batch(
-            base[np.newaxis, :], ramps, anchor=anchor
+        base = self._random_targets(circuit, 1, seed=14)
+        ref = engine.match_batch(base, ramps, anchor=anchor)
+        assert_lanes_match_scalar(
+            engine, ref, base, ramps, anchor, context=f"{name} reference"
         )
-        _assert_states_equal(ref_g, ref_l, f"{name} reference")
         idx = circuit.indexed()
         rng = np.random.default_rng(15)
-        delta_targets = np.tile(base, (lanes, 1))
+        delta_targets = np.tile(base[0], (lanes, 1))
         for lane in range(lanes):
             picks = rng.choice(
                 idx.gate_rows, size=max(1, idx.n_gates // 8), replace=False
             )
             delta_targets[lane, picks] *= rng.uniform(0.4, 2.5, picks.size)
-        changed = delta_targets != base[np.newaxis, :]
-        delta_g = gate_eng.match_batch(
+        changed = delta_targets != base
+        delta = engine.match_batch(
             delta_targets, ramps, anchor=anchor,
-            reference=ref_g, changed=changed,
+            reference=ref, changed=changed,
         )
-        delta_l = level_eng.match_batch(
-            delta_targets, ramps, anchor=anchor,
-            reference=ref_l, changed=changed,
+        assert_lanes_match_scalar(
+            engine, delta, delta_targets, ramps, anchor,
+            context=f"{name} delta pass",
         )
-        _assert_states_equal(delta_g, delta_l, f"{name} delta pass")
         # ... and the dirty wave must land on the full recompute exactly.
-        full_delta = level_eng.match_batch(
-            delta_targets, ramps, anchor=anchor
-        )
-        _assert_states_equal(delta_l, full_delta, f"{name} wave vs full")
+        full_delta = engine.match_batch(delta_targets, ramps, anchor=anchor)
+        _assert_states_equal(delta, full_delta, f"{name} wave vs full")
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.name for s in SPECS])
     def test_generator_circuits_bitwise(self, spec):
         circuit = generate_circuit(spec)
         targets = self._random_targets(circuit, 5, seed=21)
-        gate_eng, level_eng = _make_engines(circuit, self.LIBRARY)
-        full_g = gate_eng.match_batch(targets, {}, anchor=None)
-        full_l = level_eng.match_batch(targets, {}, anchor=None)
-        _assert_states_equal(full_g, full_l, spec.name)
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        assert_lanes_match_scalar(
+            engine, engine.match_batch(targets, {}, anchor=None), targets,
+            {}, context=spec.name,
+        )
 
     def test_chain_single_gate_levels(self):
         """A pure inverter chain: every reverse level holds one gate."""
@@ -460,16 +461,15 @@ class TestLevelBatchedMatcher:
         circuit.mark_output(signal)
         assert int(circuit.indexed().reverse_level.max()) == 12
         targets = self._random_targets(circuit, 6, seed=3)
-        gate_eng, level_eng = _make_engines(circuit, self.LIBRARY)
-        _assert_states_equal(
-            gate_eng.match_batch(targets, {}, anchor=None),
-            level_eng.match_batch(targets, {}, anchor=None),
-            "chain",
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        assert_lanes_match_scalar(
+            engine, engine.match_batch(targets, {}, anchor=None), targets,
+            {}, context="chain",
         )
 
     def test_po_with_fanout_latch_order(self):
         """A primary output that also drives gates: the latch cap must
-        add *after* the successor pin caps, in both schedules."""
+        add *after* the successor pin caps, as in the scalar walk."""
         from repro.circuit.gate import GateType
         from repro.circuit.netlist import Circuit
 
@@ -482,23 +482,21 @@ class TestLevelBatchedMatcher:
             leaf = circuit.add_gate(f"leaf{branch}", GateType.NOR, [mid, a])
             circuit.mark_output(leaf)
         targets = self._random_targets(circuit, 4, seed=5)
-        gate_eng, level_eng = _make_engines(circuit, self.LIBRARY)
-        _assert_states_equal(
-            gate_eng.match_batch(targets, {}, anchor=None),
-            level_eng.match_batch(targets, {}, anchor=None),
-            "po-fanout",
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        assert_lanes_match_scalar(
+            engine, engine.match_batch(targets, {}, anchor=None), targets,
+            {}, context="po-fanout",
         )
 
     def test_dirty_wave_mixed_patterns(self):
         """Delta patterns from no-op to whole-circuit: the wave must
-        stop, spread, and copy untouched entries exactly like the
-        reference implementation."""
+        stop, spread, and copy untouched entries so every lane still
+        picks the scalar walk's cells."""
         circuit = iscas85_circuit("c880")
         idx = circuit.indexed()
         base = self._random_targets(circuit, 1, seed=31)[0]
-        gate_eng, level_eng = _make_engines(circuit, self.LIBRARY)
-        ref_g = gate_eng.match_batch(base[np.newaxis, :], {}, anchor=None)
-        ref_l = level_eng.match_batch(base[np.newaxis, :], {}, anchor=None)
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        ref = engine.match_batch(base[np.newaxis, :], {}, anchor=None)
         rng = np.random.default_rng(32)
         lanes = 5
         targets = np.tile(base, (lanes, 1))
@@ -513,18 +511,15 @@ class TestLevelBatchedMatcher:
         )
         changed = targets != base[np.newaxis, :]
         assert not changed[0].any()
-        delta_g = gate_eng.match_batch(
-            targets, {}, anchor=None, reference=ref_g, changed=changed
+        delta = engine.match_batch(
+            targets, {}, anchor=None, reference=ref, changed=changed
         )
-        delta_l = level_eng.match_batch(
-            targets, {}, anchor=None, reference=ref_l, changed=changed
+        assert_lanes_match_scalar(
+            engine, delta, targets, {}, context="mixed wave"
         )
-        _assert_states_equal(delta_g, delta_l, "mixed wave")
-        np.testing.assert_array_equal(
-            delta_l.cell_idx[0], ref_l.cell_idx[0]
-        )
+        np.testing.assert_array_equal(delta.cell_idx[0], ref.cell_idx[0])
         _assert_states_equal(
-            delta_l, level_eng.match_batch(targets, {}, anchor=None),
+            delta, engine.match_batch(targets, {}, anchor=None),
             "wave vs full",
         )
 
@@ -543,44 +538,32 @@ class TestLevelBatchedMatcher:
         for lane in (0, 2, 3):
             picks = rng.choice(idx.gate_rows, size=20, replace=False)
             targets[lane, picks] *= rng.uniform(0.5, 3.0, picks.size)
-        gate_eng = MatchingEngine(circuit, library, level_batched=False)
-        level_eng = MatchingEngine(circuit, library, level_batched=True)
-        _assert_states_equal(
-            gate_eng.match_with_timing_batch(
+        engine = MatchingEngine(circuit, library)
+        assert_lanes_match_scalar(
+            engine,
+            engine.match_with_timing_batch(
                 targets, ramps, cap, anchor=baseline
             ),
-            level_eng.match_with_timing_batch(
-                targets, ramps, cap, anchor=baseline
-            ),
-            "timing repair",
+            targets, ramps, baseline, max_delay_ps=cap,
+            context="timing repair",
         )
 
     def test_scalar_match_agrees_with_level_batch(self):
         circuit = iscas85_circuit("c17")
         library = CellLibrary.paper_library(vdds=(0.8, 1.0), vths=(0.2, 0.3))
-        level_eng = MatchingEngine(circuit, library, level_batched=True)
-        idx = circuit.indexed()
+        engine = MatchingEngine(circuit, library)
         targets = self._random_targets(circuit, 1, seed=51)
-        state = level_eng.match_batch(targets, {}, anchor=None)
-        serial = level_eng.match(
-            {
-                name: float(targets[0, idx.index[name]])
-                for name in level_eng._reverse_order
-            },
-            {},
+        assert_lanes_match_scalar(
+            engine, engine.match_batch(targets, {}, anchor=None), targets, {}
         )
-        batched = state.assignment(0, idx.order)
-        for name in level_eng._reverse_order:
-            assert batched[name] == serial[name], name
 
     def test_empty_population(self):
         circuit = iscas85_circuit("c17")
         idx = circuit.indexed()
         empty = np.empty((0, idx.n_signals))
-        gate_eng, level_eng = _make_engines(circuit, self.LIBRARY)
-        for engine in (gate_eng, level_eng):
-            state = engine.match_batch(empty, {}, anchor=None)
-            assert state.cell_idx.shape == (0, idx.n_signals)
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        state = engine.match_batch(empty, {}, anchor=None)
+        assert state.cell_idx.shape == (0, idx.n_signals)
 
 
 class TestBatchedCost:

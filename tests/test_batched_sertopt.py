@@ -41,7 +41,7 @@ class _Plateau:
         self.calls.append(np.array(x))
         return self.value(x)
 
-    def batch(self, X: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    def batch(self, X: np.ndarray) -> np.ndarray:
         self.calls.append(np.array(X))
         return np.array([self.value(x) for x in X])
 
@@ -114,7 +114,7 @@ class TestOtherDriversBatched:
     def quadratic(x):
         return float(np.sum((x - 1.0) ** 2))
 
-    def batch(self, X, base=None):
+    def batch(self, X):
         return np.array([self.quadratic(x) for x in X])
 
     def test_annealing_budget_and_best_tracking(self):

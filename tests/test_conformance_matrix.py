@@ -1,26 +1,19 @@
-"""The backend-conformance matrix (fused sweep plan gate).
+"""The conformance matrix: every fast path against its oracle.
 
 Every axis that promises equivalence with a reference implementation is
 re-asserted here through one shared harness (:mod:`conformance`):
 
-* **array backend** — the fused Section-3.2 sweep plan under every
-  registered backend against the unfused reference loop, across *all*
-  bundled ISCAS-85 circuits and the generator families, one-candidate
-  and population paths both.  The NumPy backend is held to bitwise
-  identity (tolerance 0.0); other backends compare within the tolerance
-  they declared at registration.  An unimportable JIT backend shows as
-  a skip, never as silent shrinkage of the matrix.
+* **fused sweep** — the compiled Section-3.2 sweep plan against the
+  unfused per-level loop, across *all* bundled ISCAS-85 circuits and
+  the generator families, one-candidate and population paths both,
+  bitwise;
 * **engine** — ``analyze(engine="array")`` against the scalar
-  reference walk (small circuits: the dict walk is the slow seed path).
+  reference walk (small circuits: the dict walk is the slow seed path);
 * **structural_engine** — the config axis end-to-end: an analyzer
   pinned to the event-driven estimator produces the same ``P_ij`` and
-  the same totals as the batched default, bit for bit.
-* **level_batched** — the level-batched matcher schedule against the
-  per-gate walk.
-
-Registry contract tests live at the bottom: tolerance declaration is
-mandatory, unknown backends fail loudly listing what is registered, and
-the environment variable participates in resolution exactly once.
+  the same totals as the batched default, bit for bit;
+* **matcher** — every lane of the level-batched population matcher
+  against the scalar per-gate ``match``, exact cell equality.
 """
 
 from __future__ import annotations
@@ -33,24 +26,14 @@ from conformance import (
     CONFORMANCE_SPECS,
     assert_fused_sweep_conforms_batch,
     assert_fused_sweep_conforms_single,
-    assert_matcher_states_equal,
+    assert_lanes_match_scalar,
     assert_reports_agree,
-    backend_params,
     conformance_circuit,
-    make_matching_engines,
     mixed_assignment,
     mixed_assignments,
 )
-from repro.backend import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.backend.base import ArrayBackend
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
-from repro.errors import AnalysisError
+from repro.core.matching import MatchingEngine
 from repro.tech.library import CellLibrary
 
 N_VECTORS = 64
@@ -84,39 +67,20 @@ def analyzer_cache():
     return get
 
 
-class TestArrayBackendAxis:
-    """Fused plan vs. unfused loop, full circuit axis, every backend."""
+class TestFusedSweepAxis:
+    """Fused plan vs. unfused loop, full circuit axis."""
 
-    @pytest.mark.parametrize("backend", backend_params())
     @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS)
-    def test_single_candidate_conforms(self, name, backend, analyzer_cache):
+    def test_single_candidate_conforms(self, name, analyzer_cache):
         analyzer = analyzer_cache(name)
         assignment = mixed_assignment(analyzer.circuit, seed=13)
-        assert_fused_sweep_conforms_single(analyzer, assignment, backend)
+        assert_fused_sweep_conforms_single(analyzer, assignment)
 
-    @pytest.mark.parametrize("backend", backend_params())
     @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS)
-    def test_population_conforms(self, name, backend, analyzer_cache):
+    def test_population_conforms(self, name, analyzer_cache):
         analyzer = analyzer_cache(name)
         assignments = mixed_assignments(analyzer.circuit, seed=11, count=2)
-        assert_fused_sweep_conforms_batch(analyzer, assignments, backend)
-
-    @pytest.mark.parametrize("backend", backend_params())
-    def test_analyzer_config_selects_backend(self, backend, analyzer_cache):
-        """``AsertaConfig(array_backend=...)`` reaches the sweep and
-        conforms end-to-end: totals against the default-backend
-        analyzer within the declared tolerance."""
-        default = analyzer_cache("c432")
-        selected = analyzer_cache("c432", array_backend=backend)
-        assert selected.backend.name == backend
-        assignment = mixed_assignment(selected.circuit, seed=29)
-        total = selected.analyze(assignment).total
-        reference = default.analyze(assignment).total
-        tol = get_backend(backend).tolerance
-        if tol == 0.0:
-            assert total == reference
-        else:
-            assert total == pytest.approx(reference, rel=tol, abs=tol)
+        assert_fused_sweep_conforms_batch(analyzer, assignments)
 
 
 class TestEngineAxis:
@@ -147,7 +111,7 @@ class TestStructuralEngineAxis:
 
 
 class TestLevelBatchedAxis:
-    """Level-batched matcher schedule vs. the per-gate walk."""
+    """Level-batched population matcher vs. the scalar per-gate walk."""
 
     LIBRARY = CellLibrary.paper_library(vdds=(0.8, 1.0), vths=(0.2,))
 
@@ -157,68 +121,8 @@ class TestLevelBatchedAxis:
         idx = circuit.indexed()
         rng = np.random.default_rng(23)
         targets = rng.uniform(0.5, 400.0, size=(3, idx.n_signals))
-        gate_eng, level_eng = make_matching_engines(circuit, self.LIBRARY)
-        assert_matcher_states_equal(
-            gate_eng.match_batch(targets, {}, anchor=None),
-            level_eng.match_batch(targets, {}, anchor=None),
-            name,
+        engine = MatchingEngine(circuit, self.LIBRARY)
+        assert_lanes_match_scalar(
+            engine, engine.match_batch(targets, {}, anchor=None), targets,
+            {}, context=name,
         )
-
-
-class TestBackendRegistry:
-    """The registration/resolution contract of :mod:`repro.backend`."""
-
-    def test_numpy_always_registered_and_bitwise(self):
-        assert "numpy" in available_backends()
-        assert get_backend("numpy").tolerance == 0.0
-
-    def test_unknown_backend_fails_listing_registered(self):
-        with pytest.raises(AnalysisError, match="numpy"):
-            get_backend("cupy-nonexistent")
-
-    def test_tolerance_declaration_is_mandatory(self):
-        class Undeclared(ArrayBackend):
-            name = "undeclared-test-backend"
-            tolerance = None
-
-        with pytest.raises(AnalysisError, match="tolerance"):
-            register_backend(Undeclared())
-
-        class Negative(ArrayBackend):
-            name = "negative-test-backend"
-            tolerance = -1e-9
-
-        with pytest.raises(AnalysisError, match="tolerance"):
-            register_backend(Negative())
-
-    def test_duplicate_registration_rejected_without_replace(self):
-        class Impostor(ArrayBackend):
-            name = "numpy"
-            tolerance = 0.5
-
-        with pytest.raises(AnalysisError, match="registered"):
-            register_backend(Impostor())
-        # ... and the real backend is untouched.
-        assert get_backend("numpy").tolerance == 0.0
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend(None).name == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-backend")
-        with pytest.raises(AnalysisError):
-            resolve_backend(None)
-        # An explicit name wins over the environment.
-        assert resolve_backend("numpy").name == "numpy"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend(None).name == "numpy"
-
-    def test_config_rejects_blank_backend(self):
-        with pytest.raises(AnalysisError):
-            AsertaConfig(array_backend="   ")
-
-    def test_unknown_backend_fails_at_analyzer_construction(self):
-        with pytest.raises(AnalysisError):
-            AsertaAnalyzer(
-                conformance_circuit("c17"),
-                AsertaConfig(n_vectors=32, array_backend="fortran-77"),
-            )

@@ -13,7 +13,7 @@ from repro.logicsim.sensitization import (
     sensitization_matrix,
     sensitization_probabilities,
 )
-from repro.tech.glitch import propagate_width_array, propagate_width_grid
+from repro.tech.glitch import propagate_width_array, propagate_width_grid_batch
 from repro.tech.library import CellParams
 from repro.tech.lut import GridTable, bracket_queries, stacked_lookup
 from repro.tech.table_builder import default_tables
@@ -153,20 +153,26 @@ class TestVectorizedLookup:
 
 class TestPropagateWidthGrid:
     def test_matches_per_delay_array_form(self):
-        samples = np.geomspace(0.5, 400.0, 10)
-        delays = np.array([0.0, 3.0, 17.5, 90.0, 240.0])
-        grid = propagate_width_grid(samples, delays)
-        assert grid.shape == (delays.size, samples.size)
-        for row, delay in enumerate(delays):
-            np.testing.assert_array_equal(
-                grid[row], propagate_width_array(samples, float(delay))
-            )
+        samples = np.stack(
+            [np.geomspace(0.5, 400.0, 10), np.geomspace(2.0, 90.0, 10)]
+        )
+        delays = np.array(
+            [[0.0, 3.0, 17.5, 90.0, 240.0], [1.0, 0.0, 45.0, 12.5, 300.0]]
+        )
+        grid = propagate_width_grid_batch(samples, delays)
+        assert grid.shape == (2, delays.shape[1], samples.shape[1])
+        for lane in range(2):
+            for row, delay in enumerate(delays[lane]):
+                np.testing.assert_array_equal(
+                    grid[lane, row],
+                    propagate_width_array(samples[lane], float(delay)),
+                )
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(TechnologyError):
-            propagate_width_grid(np.array([-1.0]), np.array([1.0]))
+            propagate_width_grid_batch(np.array([[-1.0]]), np.array([[1.0]]))
         with pytest.raises(TechnologyError):
-            propagate_width_grid(np.array([1.0]), np.array([-1.0]))
+            propagate_width_grid_batch(np.array([[1.0]]), np.array([[-1.0]]))
 
 
 class TestVectorizedReductions:

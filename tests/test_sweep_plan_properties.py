@@ -3,7 +3,7 @@
 Three invariants that must hold for *every* parameter assignment, not
 just the hand-picked differential cases:
 
-* **plan vs. unfused, bitwise** — the fused NumPy execution of the
+* **plan vs. unfused, bitwise** — the fused execution of the
   compiled :class:`~repro.core.sweep_plan.SweepPlan` reproduces the
   unfused per-level loop exactly, for any assignment the generator
   draws (single-candidate and population paths);
@@ -69,7 +69,7 @@ def _analyzer() -> AsertaAnalyzer:
 def test_plan_matches_unfused_single_bitwise(seed):
     analyzer = _analyzer()
     assignment = mixed_assignments(analyzer.circuit, seed, count=1)[0]
-    assert_fused_sweep_conforms_single(analyzer, assignment, "numpy")
+    assert_fused_sweep_conforms_single(analyzer, assignment)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -77,7 +77,7 @@ def test_plan_matches_unfused_single_bitwise(seed):
 def test_plan_matches_unfused_batch_bitwise(seed):
     analyzer = _analyzer()
     assignments = mixed_assignments(analyzer.circuit, seed, count=3)
-    assert_fused_sweep_conforms_batch(analyzer, assignments, "numpy")
+    assert_fused_sweep_conforms_batch(analyzer, assignments)
 
 
 @given(
@@ -105,7 +105,6 @@ def test_lane_permutation_invariance(seed, perm_seed):
         arrays["delay_ps"],
         arrays["generated_width_ps"],
         samples,
-        backend=analyzer.backend,
         plan=analyzer.sweep_plan,
     )
     perm = np.random.default_rng(perm_seed).permutation(len(assignments))
@@ -114,7 +113,6 @@ def test_lane_permutation_invariance(seed, perm_seed):
         np.ascontiguousarray(arrays["delay_ps"][perm]),
         np.ascontiguousarray(arrays["generated_width_ps"][perm]),
         np.ascontiguousarray(samples[perm]),
-        backend=analyzer.backend,
         plan=analyzer.sweep_plan,
     )
     np.testing.assert_array_equal(permuted, expected[perm])
