@@ -120,7 +120,7 @@ def summary_rows(data: dict[str, dict], floors: dict[str, float]):
             f"Structural `P_ij` pass ({structural['circuit']}, "
             f"{structural['n_vectors']} vectors)",
             _s(structural["before"]["structural_s"]) + " (event walk)",
-            _s(structural["after"]["structural_s"]) + " (batched sites)",
+            _s(structural["after"]["structural_s"]) + " (live-pair kernel)",
             _x(structural["speedup"]),
             f"≥ {floors['structural']:g}× (`BENCH_structural.json`)",
         ),
@@ -248,7 +248,10 @@ The Section-3.1 `P_ij` estimate on {structural['circuit']}
 {structural['n_vectors']} vectors): event-driven walk
 {_s(structural['before']['structural_s'])} vs batched fault-site
 simulation {_s(structural['after']['structural_s'])}
-({_x(structural['speedup'])}, bit-identical counts).  A warm analyzer
+({_x(structural['speedup'])}, gated at ≥ {floors['structural']:g}×,
+medians of {structural['protocol']['pairs']} interleaved pairs;
+bit-identical counts).  The batched kernel evaluates only the
+(site, gate) pairs with a live fan-in.  A warm analyzer
 build (content-addressed artifact cache) takes
 {_s(structural['warm']['warm_build_plus_analyze_s'])} against
 {_s(structural['warm']['cold_analyzer_build_s'])} cold, with

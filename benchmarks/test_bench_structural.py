@@ -3,11 +3,12 @@
 Runs the Section-3.1 structural pass (the ``P_ij`` estimate) on c5315 —
 the circuit the ROADMAP flagged as "seconds per netlist" under the
 event-driven walk — through both engines on identical vectors, asserts
-the batched path is at least 3x faster *and* bit-identical, then times
-the warm path: a second analyzer over a shared artifact cache, whose
-construction must perform zero fault-simulation work.  Emits
-``BENCH_structural.json`` alongside the other ``BENCH_*.json``
-artifacts uploaded by CI.
+the batched live-pair kernel is at least 3x faster *and* bit-identical,
+then times the warm path: a second analyzer over a shared artifact
+cache, whose construction must perform zero fault-simulation work.
+Both sides are timed with the shared interleaved paired-median protocol
+(:func:`conformance.gated_speedup`).  Emits ``BENCH_structural.json``
+alongside the other ``BENCH_*.json`` artifacts uploaded by CI.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conformance import gated_speedup
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
 from repro.engine import AnalysisEngine
@@ -34,6 +36,9 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_structural.json"
 MIN_SPEEDUP = 3.0
 CIRCUIT = "c5315"
 SEED = 0
+#: Interleaved event/batched call pairs; the event walk alone takes
+#: ~20 s per call here, so three pairs already cost a minute.
+PAIRS = 3
 
 
 def test_structural_batching_speedup(benchmark, scale):
@@ -50,34 +55,13 @@ def test_structural_batching_speedup(benchmark, scale):
             circuit, n_vectors, seed=SEED, compiled=compiled
         )
 
-    batched_p = run_batched()
-    event_p = structural_matrix_event(circuit, n_vectors, seed=SEED)
-    np.testing.assert_array_equal(batched_p, event_p)
+    def run_event() -> np.ndarray:
+        return structural_matrix_event(circuit, n_vectors, seed=SEED)
 
-    def best_of(fn, repeats: int) -> float:
-        best = float("inf")
-        for __ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    event_s = best_of(
-        lambda: structural_matrix_event(circuit, n_vectors, seed=SEED), 2
+    np.testing.assert_array_equal(run_batched(), run_event())
+    speedup, event_s, batched_s = gated_speedup(
+        run_event, run_batched, pairs=PAIRS, floor=MIN_SPEEDUP
     )
-    batched_s = best_of(run_batched, 3)
-    if event_s / batched_s < MIN_SPEEDUP:
-        # Re-measure once before declaring a regression (shared CI
-        # runners jitter); locally the observed ratio is ~6x.
-        event_s = min(
-            event_s,
-            best_of(
-                lambda: structural_matrix_event(circuit, n_vectors, seed=SEED),
-                2,
-            ),
-        )
-        batched_s = min(batched_s, best_of(run_batched, 3))
-    speedup = event_s / batched_s
     benchmark.pedantic(run_batched, iterations=1, rounds=3)
 
     # Warm path: a fresh analyzer over a shared engine must build with
@@ -111,11 +95,12 @@ def test_structural_batching_speedup(benchmark, scale):
         "after": {
             "engine": "batched",
             "structural_s": batched_s,
-            # Per-row active-site masks skip (site, gate) pairs outside
-            # each site's cone; bit-identical, reflected in the timing.
-            "site_masked": True,
+            # Evaluates only the (site, gate) pairs with a live fan-in,
+            # in one reused signal-major buffer.
+            "kernel": "live_pairs",
         },
         "speedup": speedup,
+        "protocol": {"timing": "interleaved paired median", "pairs": PAIRS},
         "warm": {
             "cold_analyzer_build_s": cold_build_s,
             "warm_build_plus_analyze_s": warm_build_analyze_s,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +105,15 @@ class SertoptResult:
     baseline: CostBreakdown
     optimized: CostBreakdown
     optimizer_result: OptimizeResult
-    delay_space_info: dict[str, int]
+    delay_space: DelaySpace = field(repr=False, compare=False)
     runtime_s: float
+
+    @cached_property
+    def delay_space_info(self) -> dict[str, int]:
+        """Size of the timing-neutral search space (gates, paths, rank,
+        dimension).  Computed on first read: the rank is an SVD of the
+        path matrix, which :meth:`Sertopt.optimize` itself never needs."""
+        return self.delay_space.describe()
 
     @property
     def unreliability_reduction(self) -> float:
@@ -231,8 +239,10 @@ class Sertopt:
     :class:`~repro.engine.engine.AnalysisEngine` (lets the
     sizing-invariant structural pass come from the artifact cache);
     then call :meth:`optimize`, which returns a :class:`SertoptResult`.
-    One instance may optimize repeatedly — the analyzer, compiled
-    matching plans and cached path sample are reused across calls.
+    One instance may optimize repeatedly — the analyzer and the
+    matching engine (its per-cell arrays and compiled level plan) are
+    reused across calls; the delay space is rebuilt on every call,
+    because it derives from that call's baseline delays.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) records the
     ``sertopt.optimize`` span tree — setup, delay-space construction,
@@ -273,6 +283,7 @@ class Sertopt:
             # A pre-built (possibly cached) analyzer keeps its state but
             # records into this run's telemetry.
             self.analyzer.telemetry = self.telemetry
+        self.matcher = MatchingEngine(circuit, self.library, telemetry=telemetry)
 
     def optimize(
         self, baseline: ParameterAssignment | None = None
@@ -307,9 +318,7 @@ class Sertopt:
             target_elec = CircuitElectrical(
                 self.circuit, baseline, use_tables=False
             )
-            engine = MatchingEngine(
-                self.circuit, self.library, telemetry=self._telemetry
-            )
+            engine = self.matcher
             ramps = dict(target_elec.input_ramp_ps)
             baseline_delay = analyze_timing(
                 self.circuit, target_elec.delay_ps
@@ -337,7 +346,7 @@ class Sertopt:
                 optimizer_result=OptimizeResult(
                     x=np.zeros(0), value=breakdown.total, evaluations=1
                 ),
-                delay_space_info=space.describe(),
+                delay_space=space,
                 runtime_s=time.perf_counter() - started,
             )
 
@@ -401,6 +410,6 @@ class Sertopt:
             baseline=evaluator.baseline_breakdown,
             optimized=best_breakdown,
             optimizer_result=search,
-            delay_space_info=space.describe(),
+            delay_space=space,
             runtime_s=time.perf_counter() - started,
         )

@@ -127,8 +127,9 @@ def sweep_plan_key(
 
 
 def compiled_key(circuit: Circuit) -> str:
-    """Key of the compiled structural schedule (reachability bitsets,
-    level/type-group evaluation plan)."""
+    """Key of the compiled structural schedule (the level/type-group
+    evaluation plan; which pairs run is decided per call, from live-pair
+    masks)."""
     return artifact_key(KIND_COMPILED, circuit=circuit_digest(circuit))
 
 

@@ -9,16 +9,20 @@ the dominant per-circuit cost once the electrical pass was vectorized.
 This module replaces the walk with a **level-synchronized, fault-site-
 batched** simulator:
 
-* fault sites are processed in blocks of ``S`` sites; the faulty state
-  lives as one ``(S, V, W)`` ``uint64`` *delta* tensor (XOR against the
-  fault-free base simulation, 64 vectors per word);
-* gates are evaluated level by level through the
-  :class:`~repro.circuit.indexed.IndexedCircuit` CSR arrays, one NumPy
-  call per ``(level, gate-type/fan-in group)`` — every site in the
-  block advances together;
-* precomputed **reachability bitsets** (`CompiledStructuralCircuit`)
-  mask out gates no site in the block can influence, so regions outside
-  the union fanout cone cost nothing;
+* fault sites are processed in blocks of ``S`` sites; the faulty values
+  of a block live in one signal-major ``(V, S, W)`` ``uint64`` buffer
+  (64 vectors per word), allocated once per call and reused by every
+  block;
+* gates are evaluated level by level through the compiled schedule,
+  one :func:`~repro.circuit.gate.evaluate_words` call per
+  ``(level, gate-type/fan-in group)`` — every site in the block
+  advances together;
+* a per-``(row, site)`` **liveness mask** marks the faulty values that
+  differ from the fault-free base.  A gate is evaluated only for the
+  sites where one of its fan-ins is live, as gathered ``(gate, site)``
+  pairs — or as the dense ``(gates, sites)`` rectangle when most pairs
+  of the group are live.  A pair with no live fan-in reproduces the
+  base value, so skipping it is exact;
 * a site's own row stays pinned at "complemented" for its lane, exactly
   like the event overlay pins the flipped source.
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.gate import evaluate_words
+from repro.circuit.gate import GateType, evaluate_words
 from repro.circuit.indexed import IndexedCircuit
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
@@ -40,20 +44,20 @@ from repro.logicsim.bitsim import BitParallelSimulator
 from repro.logicsim.vectors import lane_mask, random_input_words
 from repro.telemetry import resolve
 
-#: Default ceiling on one block's delta tensor (bytes) — blocks shrink
-#: on large circuits so memory stays flat while throughput stays high.
+#: Default ceiling on the fault-site buffer (bytes) — blocks shrink on
+#: large circuits so memory stays flat while throughput stays high.
 DEFAULT_MAX_BLOCK_BYTES = 1 << 27
 
 #: Hard cap on sites per block (beyond this, gather sizes stop helping).
 MAX_BLOCK_SITES = 256
 
-#: Active-(site, gate) pair density below which a (level, group)
-#: evaluation switches from the dense ``(sites, gates)`` rectangle to
-#: gathered per-pair evaluation.  On wide circuits most gates of a
-#: level sit outside most sites' fanout cones, so the rectangle wastes
-#: word-ops on pairs whose delta is provably zero; near-dense groups
-#: keep the rectangle (contiguous gathers beat fancy indexing there).
-SITE_MASK_MAX_DENSITY = 0.5
+#: Live-pair density above which a (level, group) evaluation runs the
+#: dense ``(gates, sites)`` rectangle instead of the gathered live
+#: pairs.  Near-dense groups favour the rectangle (contiguous gathers
+#: beat fancy indexing there); on wide circuits most gates of a level
+#: sit outside most sites' fanout cones, and the gathered pairs skip
+#: them.
+DENSE_LIVE_DENSITY = 0.5
 
 
 class CompiledStructuralCircuit:
@@ -68,87 +72,32 @@ class CompiledStructuralCircuit:
     def __init__(self, indexed: IndexedCircuit) -> None:
         idx = indexed
         self.indexed = idx
-        n = idx.n_signals
-        self.word_count = (n + 63) // 64
-
-        #: Bit position of each row inside the packed site bitsets.
-        self.bit_word = np.arange(n, dtype=np.int64) >> 6
-        self.bit_mask = np.uint64(1) << (
-            np.arange(n, dtype=np.uint64) & np.uint64(63)
-        )
-
-        # reach[r] — packed set of source rows that can reach row r
-        # (fanin cone of r, own bit included).  One forward pass; each
-        # row ORs its fan-ins' bitsets.
-        reach = np.zeros((n, self.word_count), dtype=np.uint64)
-        for row in range(n):
-            fanins = idx.fanins_of(row)
-            if fanins.size:
-                np.bitwise_or.reduce(reach[fanins], axis=0, out=reach[row])
-            reach[row, self.bit_word[row]] |= self.bit_mask[row]
-        self.reach = reach
-
         # Evaluation schedule: for each logic level >= 1, the gate rows
-        # grouped by (gate type, fan-in count) with their dense fan-in
-        # row matrices — the unit of one vectorized evaluate_words call.
-        schedule: list[tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]] = []
+        # (ascending) grouped by (gate type, fan-in count) with their
+        # dense (fan-in, gate) row matrices — the unit of one vectorized
+        # evaluate_words call.
+        schedule: list[tuple[int, list[tuple[GateType, np.ndarray, np.ndarray]]]] = []
         gate_rows = idx.gate_rows
         gate_levels = idx.level[gate_rows]
         for level in np.unique(gate_levels):
             at_level = gate_rows[gate_levels == level]
-            entries: list[tuple[int, np.ndarray, np.ndarray]] = []
+            entries = []
             for gid in np.unique(idx.group_id[at_level]):
                 rows = at_level[idx.group_id[at_level] == gid]
-                nfi = idx.group_pairs[gid][1]
-                fanin_matrix = idx.fanin_src[
-                    idx.fanin_ptr[rows][:, np.newaxis]
-                    + np.arange(nfi, dtype=np.int64)
+                gtype, nfi = idx.group_pairs[gid]
+                fanins = idx.fanin_src[
+                    idx.fanin_ptr[rows][np.newaxis, :]
+                    + np.arange(nfi, dtype=np.int64)[:, np.newaxis]
                 ]
-                entries.append((int(gid), rows, fanin_matrix))
+                entries.append((gtype, rows, fanins))
             schedule.append((int(level), entries))
         self.schedule = schedule
-
-    def block_bitmask(self, start: int, stop: int) -> np.ndarray:
-        """Packed bitset with the site rows ``[start, stop)`` set."""
-        mask = np.zeros(self.word_count, dtype=np.uint64)
-        np.bitwise_or.at(
-            mask, self.bit_word[start:stop], self.bit_mask[start:stop]
-        )
-        return mask
-
-    def candidates(self, start: int, stop: int) -> np.ndarray:
-        """Rows some site in ``[start, stop)`` can influence (bool ``(V,)``).
-
-        A site row is a candidate only if *another* site reaches it —
-        its own value is pinned to the complement, never re-evaluated.
-        """
-        touched = self.reach & self.block_bitmask(start, stop)
-        site_rows = np.arange(start, stop, dtype=np.int64)
-        touched[site_rows, self.bit_word[site_rows]] &= ~self.bit_mask[site_rows]
-        return touched.any(axis=1)
-
-    def site_matrix(self, start: int, stop: int, rows: np.ndarray) -> np.ndarray:
-        """Per-row active-site mask: ``(S, len(rows))`` booleans, true
-        where site ``start + s`` reaches gate ``rows[g]``.
-
-        A site that cannot reach a gate leaves every fan-in delta at
-        zero, so the faulty evaluation reproduces the base value — the
-        (site, gate) pair is provably a no-op.  The site's *own* row is
-        excluded (its lane stays pinned to the complement), matching
-        :meth:`candidates`.
-        """
-        site_rows = np.arange(start, stop, dtype=np.int64)
-        words = self.reach[rows][:, self.bit_word[site_rows]]
-        bits = (words >> (site_rows.astype(np.uint64) & np.uint64(63))) & np.uint64(1)
-        mask = bits.astype(bool).T
-        mask &= rows[np.newaxis, :] != site_rows[:, np.newaxis]
-        return mask
 
 
 def pick_block_sites(
     n_signals: int, n_words: int, max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES
 ) -> int:
-    """Sites per block so the delta tensor stays under the byte budget."""
+    """Sites per block so the fault-site buffer stays under the byte budget."""
     per_site = max(1, n_signals * n_words * 8)
     return int(max(1, min(MAX_BLOCK_SITES, max_block_bytes // per_site)))
 
@@ -195,75 +144,103 @@ def structural_matrix_batched(
         block_sites = pick_block_sites(n, n_words, max_block_bytes)
     if block_sites < 1:
         raise SimulationError(f"block_sites must be >= 1, got {block_sites}")
+    block_sites = min(block_sites, n)
+
+    # values[row, s] holds row's words under the fault at site s of the
+    # current block; live[row, s] marks the entries that differ from
+    # the base row.  A block ends by restoring its changed entries,
+    # except in the rows it rewrote whole (dense): those stay *held*
+    # until the next block rewrites them whole again or restores them
+    # before writing single pairs.  On near-dense circuits most rows
+    # are rewritten whole by every block, so most restores are skipped.
+    values = np.empty((n, block_sites, n_words), dtype=np.uint64)
+    values[:] = base[:, np.newaxis]
+    flat = values.reshape(n * block_sites, n_words)
+    live = np.zeros((n, block_sites), dtype=bool)
+    held = np.zeros(n, dtype=bool)
 
     counts = np.zeros((n, idx.n_outputs), dtype=np.int64)
     levels = idx.level
+    out_rows = idx.output_rows
     for start in range(0, n, block_sites):
         stop = min(start + block_sites, n)
         with tel.span("structural.block", start=start, stop=stop):
+            width = stop - start
+            block = values[:, :width]
+            block_live = live[:, :width]
             site_rows = np.arange(start, stop, dtype=np.int64)
-            site_levels = levels[site_rows]
             local = site_rows - start
+            # The sweep starts above the block's lowest site level; held
+            # rows at or below it are restored here.
+            min_level = int(levels[site_rows].min())
+            low = np.flatnonzero(held & (levels <= min_level))
+            block[low] = base[low, np.newaxis]
+            block_live[low] = False
+            # Each site's own row is pinned to "every valid lane
+            # complemented" and never re-evaluated for its own lane.
+            block[site_rows, local] = base[site_rows] ^ mask
+            block_live[site_rows, local] = True
 
-            # Delta against the fault-free base; each site's own row is
-            # pinned to "every valid lane complemented".
-            delta = np.zeros((stop - start, n, n_words), dtype=np.uint64)
-            delta[local, site_rows] = mask
-
-            candidate = compiled.candidates(start, stop)
-            min_level = int(site_levels.min())
+            rewritten = np.zeros(n, dtype=bool)
             for level, entries in compiled.schedule:
                 if level <= min_level:
                     continue
-                for __, rows, fanin_matrix in entries:
-                    active = candidate[rows]
-                    if not active.any():
-                        continue
-                    rows_active = rows[active]
-                    fanins = fanin_matrix[active]
-                    gtype = idx.gtypes[rows_active[0]]
-                    pair_mask = compiled.site_matrix(start, stop, rows_active)
-                    # A (site, gate) pair with no reachability is a no-op
-                    # (the delta stays zero either way); when such pairs
-                    # dominate, evaluate only the live ones.  Both branches
-                    # compute identical values for every live pair, so the
-                    # result is bit-identical.
-                    if (
-                        stop - start > 1
-                        and pair_mask.mean() <= SITE_MASK_MAX_DENSITY
-                    ):
-                        s_idx, g_idx = np.nonzero(pair_mask)
-                        if s_idx.size == 0:
-                            continue
-                        pair_fanins = fanins[g_idx]
-                        words = [
-                            base[pair_fanins[:, t]]
-                            ^ delta[s_idx, pair_fanins[:, t]]
-                            for t in range(pair_fanins.shape[1])
-                        ]
-                        faulty = evaluate_words(gtype, words)
-                        target_rows = rows_active[g_idx]
-                        delta[s_idx, target_rows] = (
-                            faulty ^ base[target_rows]
-                        ) & mask
+                for gtype, rows, fanins in entries:
+                    fan_live = block_live[fanins].any(axis=0)
+                    pinned = None
+                    if rows[0] < stop and rows[-1] >= start:
+                        own = np.flatnonzero((rows >= start) & (rows < stop))
+                        pinned = rows[own]
+                        fan_live[own, pinned - start] = False
+                    n_live = np.count_nonzero(fan_live)
+                    if n_live > DENSE_LIVE_DENSITY * fan_live.size:
+                        faulty = evaluate_words(
+                            gtype, list(block.take(fanins, axis=0))
+                        )
+                        block[rows] = faulty
+                        block_live[rows] = (
+                            faulty != base[rows, np.newaxis]
+                        ).any(axis=2)
+                        rewritten[rows] = True
                     else:
-                        words = [
-                            base[fanins[:, t]] ^ delta[:, fanins[:, t]]
-                            for t in range(fanins.shape[1])
-                        ]
-                        faulty = evaluate_words(gtype, words)
-                        delta[:, rows_active] = (
-                            faulty ^ base[rows_active]
-                        ) & mask
-                # Sites whose row sits at this level were just re-evaluated
-                # under *other* faults; restore their own-lane pin.
-                pins = site_rows[site_levels == level]
-                if pins.size:
-                    delta[pins - start, pins] = mask
+                        # Only live pairs are written below, so held
+                        # rows must get their base values back first.
+                        stale = rows[held[rows]]
+                        if stale.size:
+                            block[stale] = base[stale, np.newaxis]
+                            block_live[stale] = False
+                        elif n_live == 0:
+                            continue
+                        if n_live:
+                            g_idx, s_idx = np.nonzero(fan_live)
+                            faulty = evaluate_words(
+                                gtype,
+                                list(flat.take(
+                                    fanins[:, g_idx] * block_sites + s_idx,
+                                    axis=0,
+                                )),
+                            )
+                            targets = rows[g_idx]
+                            flat[targets * block_sites + s_idx] = faulty
+                            block_live[targets, s_idx] = (
+                                faulty != base.take(targets, axis=0)
+                            ).any(axis=1)
+                    if pinned is not None:
+                        # Own rows were rewritten or restored under
+                        # their own fault too; put the pins back.
+                        block[pinned, pinned - start] = base[pinned] ^ mask
+                        block_live[pinned, pinned - start] = True
 
-            counts[site_rows] = np.bitwise_count(
-                delta[:, idx.output_rows]
-            ).sum(axis=2)
+            cols, s_idx = np.nonzero(block_live[out_rows])
+            hit_rows = out_rows[cols]
+            counts[start + s_idx, cols] = np.bitwise_count(
+                block[hit_rows, s_idx] ^ base[hit_rows]
+            ).sum(axis=1)
+
+            changed, s_idx = np.nonzero(block_live & ~rewritten[:, np.newaxis])
+            flat[changed * block_sites + s_idx] = base.take(changed, axis=0)
+            block_live[changed, s_idx] = False
+            held = rewritten
 
     p = counts / float(n_vectors)
     p[idx.output_rows, idx.col_of_row[idx.output_rows]] = 1.0

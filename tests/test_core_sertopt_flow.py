@@ -1,5 +1,6 @@
 """End-to-end tests of the SERTOPT flow and the baseline sizing."""
 
+import numpy as np
 import pytest
 
 from repro.circuit.iscas85 import iscas85_circuit
@@ -93,6 +94,49 @@ class TestSertoptFlow:
 
     def test_runtime_recorded(self, result):
         assert result.runtime_s > 0.0
+
+
+class TestSertoptReuse:
+    CONFIG = SertoptConfig(
+        max_evaluations=12, seed=0, aserta=AsertaConfig(n_vectors=300, seed=0)
+    )
+
+    def test_delay_space_info_is_lazy(self, c432, monkeypatch):
+        """optimize() never ranks the path matrix; the rank (an SVD) runs
+        only when delay_space_info is first read."""
+        sertopt = Sertopt(c432, config=self.CONFIG)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix_rank ran inside optimize()")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "matrix_rank", forbidden)
+            result = sertopt.optimize()
+        info = result.delay_space_info
+        assert info["gates"] == c432.gate_count
+        assert 0 <= info["dimension"] <= info["gates"]
+        assert info["rank"] == np.linalg.matrix_rank(result.delay_space.matrix)
+        assert result.delay_space_info is info
+
+    def test_repeat_optimize_reuses_the_matcher(self, c432):
+        """One matching engine (cell arrays, level plan) serves every
+        optimize() call of an instance, and a repeat reproduces the run."""
+        sertopt = Sertopt(c432, config=self.CONFIG)
+        first = sertopt.optimize()
+        matcher = sertopt.matcher
+        plan = matcher._level_plan()
+        second = sertopt.optimize()
+        assert sertopt.matcher is matcher
+        assert matcher._level_plan() is plan
+        np.testing.assert_array_equal(
+            second.optimizer_result.x, first.optimizer_result.x
+        )
+        assert second.optimized.total == first.optimized.total
+        for gate in c432.gates():
+            assert (
+                second.optimized_assignment[gate.name]
+                == first.optimized_assignment[gate.name]
+            )
 
 
 class TestSertoptFindsImprovement:

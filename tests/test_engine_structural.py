@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformance import assert_structural_bit_identical
 from repro.circuit.generator import GeneratorSpec, generate_circuit
@@ -169,48 +171,85 @@ class TestObservabilitySharedImplementation:
 
 
 class TestSiteMasks:
-    """Per-row active-site masks: live pairs only, bit-identical."""
+    """Per-(row, site) liveness masks: each (level, group) runs either
+    the dense rectangle or the gathered live pairs, and both must
+    reproduce the event-driven estimator exactly — across block sizes
+    (one site, several blocks, the whole circuit in one block) and at
+    three packed words with a partial tail."""
 
-    def test_site_matrix_matches_reachability(self, c432):
-        compiled = CompiledStructuralCircuit(c432.indexed())
-        idx = c432.indexed()
-        rows = idx.gate_rows[:40]
-        mask = compiled.site_matrix(10, 42, rows)
-        assert mask.shape == (32, rows.size)
-        # Row-wise OR over sites must agree with the block candidates
-        # restricted to these rows (same own-site exclusion rule).
-        candidate = compiled.candidates(10, 42)
-        np.testing.assert_array_equal(mask.any(axis=0), candidate[rows])
+    CIRCUITS = ("c432", "c499", "parity")
+    N_VECTORS = 130
 
-    def test_forced_sparse_path_bit_identical(self, c432):
-        """Small blocks on a reconvergent circuit drive pair density
-        low, forcing the gathered-pair branch; the counts must still be
-        exactly the event-driven estimator's."""
-        import repro.engine.structural as st
-
-        original = st.SITE_MASK_MAX_DENSITY
-        try:
-            st.SITE_MASK_MAX_DENSITY = 1.0  # every multi-site block
-            sparse = structural_matrix_batched(
-                c432, N_VECTORS, seed=SEED, block_sites=8
+    @staticmethod
+    def _circuit(name):
+        if name == "parity":
+            return generate_circuit(
+                GeneratorSpec("live-parity", 6, 3, 60, 6, seed=5, flavor="parity")
             )
-        finally:
-            st.SITE_MASK_MAX_DENSITY = original
-        np.testing.assert_array_equal(
-            sparse, structural_matrix_event(c432, N_VECTORS, seed=SEED)
-        )
+        return iscas85_circuit(name)
 
-    def test_forced_dense_path_bit_identical(self, c432):
-        import repro.engine.structural as st
+    def _assert_forced_branch(self, monkeypatch, density: float) -> None:
+        import repro.engine.structural as structural
 
-        original = st.SITE_MASK_MAX_DENSITY
-        try:
-            st.SITE_MASK_MAX_DENSITY = -1.0  # never take the pair branch
-            dense = structural_matrix_batched(
-                c432, N_VECTORS, seed=SEED, block_sites=8
-            )
-        finally:
-            st.SITE_MASK_MAX_DENSITY = original
-        np.testing.assert_array_equal(
-            dense, structural_matrix_event(c432, N_VECTORS, seed=SEED)
+        monkeypatch.setattr(structural, "DENSE_LIVE_DENSITY", density)
+        for name in self.CIRCUITS:
+            circuit = self._circuit(name)
+            event = structural_matrix_event(circuit, self.N_VECTORS, seed=SEED)
+            n = circuit.indexed().n_signals
+            for block_sites in (1, 8, n):
+                forced = structural_matrix_batched(
+                    circuit, self.N_VECTORS, seed=SEED, block_sites=block_sites
+                )
+                np.testing.assert_array_equal(
+                    forced, event, err_msg=f"{name}, block_sites={block_sites}"
+                )
+
+    def test_forced_sparse_path_bit_identical(self, monkeypatch):
+        """Every group takes the gathered live-pair branch."""
+        self._assert_forced_branch(monkeypatch, 1.0)
+
+    def test_forced_dense_path_bit_identical(self, monkeypatch):
+        """Every group takes the dense rectangle, live pairs or not."""
+        self._assert_forced_branch(monkeypatch, -1.0)
+
+    def test_compiled_schedule_is_linear_in_netlist_size(self):
+        """The compiled schedule stores gate rows and fan-in rows only —
+        no per-signal reachability bitsets, in the schedule or beside it."""
+        idx = iscas85_circuit("c5315").indexed()
+        compiled = CompiledStructuralCircuit(idx)
+        stored = sum(
+            rows.nbytes + fanins.nbytes
+            for __, entries in compiled.schedule
+            for __, rows, fanins in entries
         )
+        stored += sum(
+            value.nbytes
+            for value in vars(compiled).values()
+            if isinstance(value, np.ndarray)
+        )
+        assert stored == 8 * (idx.n_gates + idx.fanin_src.size)
+
+
+@given(
+    n_gates=st.integers(min_value=8, max_value=60),
+    depth=st.integers(min_value=2, max_value=10),
+    flavor=st.sampled_from(["control", "alu", "parity"]),
+    circuit_seed=st.integers(min_value=0, max_value=2**16),
+    block_sites=st.sampled_from([1, 2, 5, 16, None]),
+    n_vectors=st.integers(min_value=1, max_value=200),
+)
+@settings(max_examples=25, deadline=None)
+def test_batched_matches_event_on_random_circuits(
+    n_gates, depth, flavor, circuit_seed, block_sites, n_vectors
+):
+    """Any generated circuit, any blocking, any vector count (including
+    a single lane and partial tail words): batched == event, bitwise."""
+    spec = GeneratorSpec(
+        "prop", 4, 3, n_gates, depth, seed=circuit_seed, flavor=flavor
+    )
+    circuit = generate_circuit(spec)
+    event = structural_matrix_event(circuit, n_vectors, seed=circuit_seed)
+    batched = structural_matrix_batched(
+        circuit, n_vectors, seed=circuit_seed, block_sites=block_sites
+    )
+    np.testing.assert_array_equal(batched, event)
