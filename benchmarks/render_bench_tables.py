@@ -3,14 +3,21 @@
 the committed ``BENCH_*.json`` files.
 
 The benchmark suite (``pytest benchmarks``) measures every hot path and
-writes one JSON per bench; this script turns the committed JSONs into
-the human-readable performance documentation, so the numbers in the
-docs are *generated*, never hand-maintained.
+writes one JSON per bench under the gitignored ``build/bench/``; this
+script turns the committed copies of those JSONs at the repository root
+into the human-readable performance documentation, so the numbers in
+the docs are *generated*, never hand-maintained.
 
 Usage:
 
     python benchmarks/render_bench_tables.py            # rewrite files
     python benchmarks/render_bench_tables.py --check    # fail on drift
+
+Refreshing the committed numbers is one command line — run the benches,
+copy the five JSONs to the root, render — so the BENCH files and the
+docs only ever change together:
+
+    PYTHONPATH=src python -m pytest benchmarks -q && cp build/bench/BENCH_{aserta,structural,sertopt,campaign,telemetry}.json . && python benchmarks/render_bench_tables.py
 
 ``--check`` regenerates everything in memory and exits non-zero if the
 committed ``docs/performance.md`` or the marker-delimited block in
@@ -46,10 +53,9 @@ HEADER = """\
 # Performance
 
 *Generated by [`benchmarks/render_bench_tables.py`](../benchmarks/render_bench_tables.py)
-from the committed `BENCH_*.json` files — do not edit by hand; re-run
-the benchmarks (`PYTHONPATH=src python -m pytest benchmarks -q`) and
-then `python benchmarks/render_bench_tables.py`.  CI fails if this file
-drifts from the JSONs.*
+from the committed `BENCH_*.json` files — do not edit by hand; refresh
+with the command under [Regenerating](#regenerating).  CI fails if this
+file drifts from the JSONs.*
 
 Every number below was measured by a gated benchmark: the named floor
 is asserted on every CI run, so a regression on any of these paths
@@ -62,7 +68,7 @@ def _load(name: str) -> dict:
     if not path.exists():
         raise SystemExit(
             f"{name} missing — run `PYTHONPATH=src python -m pytest "
-            f"benchmarks -q` first"
+            f"benchmarks -q` and copy it from build/bench/ first"
         )
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -321,16 +327,22 @@ the same body — {_pct(telemetry['disabled_overhead'])}, gated at
 ≤ {floors['telemetry']:.0%}.  With spans and counters recording, the
 same analysis costs {_ms(telemetry['enabled_analyze_s'])}
 ({_pct(telemetry['enabled_overhead'])}, reported but not gated).  The
-bench also exports `BENCH_telemetry_trace.json`, a validated Chrome
-trace of a full c432 `Sertopt.optimize()`, uploaded as a CI artifact.
+bench also exports `build/bench/BENCH_telemetry_trace.json`, a
+validated Chrome trace of a full c432 `Sertopt.optimize()`, uploaded as
+a CI artifact.
 
 ## Regenerating
 
+The benches write their JSON under the gitignored `build/bench/`, so a
+test run never touches the committed files.  One command line runs
+them, copies the five JSONs to the repository root and re-renders this
+file and the README block:
+
 ```sh
-PYTHONPATH=src python -m pytest benchmarks -q     # refresh BENCH_*.json
-python benchmarks/render_bench_tables.py          # refresh this file + README
-python benchmarks/render_bench_tables.py --check  # what CI runs
+PYTHONPATH=src python -m pytest benchmarks -q && cp build/bench/BENCH_{aserta,structural,sertopt,campaign,telemetry}.json . && python benchmarks/render_bench_tables.py
 ```
+
+CI runs `python benchmarks/render_bench_tables.py --check`.
 """
     )
     return "\n".join(parts)

@@ -43,7 +43,7 @@ from repro.tech.electrical_view import (
     stack_cell_param_arrays,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_aserta.json"
+BENCH_NAME = "BENCH_aserta.json"
 #: Acceptance floor: vectorized analyze() vs the seed implementation.
 MIN_SPEEDUP = 3.0
 #: Acceptance floor: fused plan-compiled sweep vs the unfused loop.
@@ -52,13 +52,13 @@ MIN_SWEEP_SPEEDUP = 2.0
 SWEEP_LANES = 16
 
 
-def _merge_bench(updates: dict) -> None:
-    """Read-merge-write ``BENCH_aserta.json`` — two tests share the
-    file, and either may run (or rerun) first."""
+def _merge_bench(path: Path, updates: dict) -> None:
+    """Read-merge-write ``BENCH_aserta.json`` at ``path`` — two tests
+    share the file, and either may run (or rerun) first."""
     payload: dict = {}
-    if BENCH_JSON.exists():
+    if path.exists():
         try:
-            existing = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
+            existing = json.loads(path.read_text(encoding="utf-8"))
             if isinstance(existing, dict):
                 payload = existing
         except (ValueError, OSError):
@@ -67,10 +67,10 @@ def _merge_bench(updates: dict) -> None:
     payload["bench"] = "aserta_analyze"
     payload["unix_time"] = time.time()
     payload["scale"] = os.environ.get("REPRO_BENCH_SCALE", "fast")
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def test_aserta_vectorization_speedup(benchmark):
+def test_aserta_vectorization_speedup(benchmark, bench_path):
     circuit = iscas85_circuit("c432")
     analyzer = AsertaAnalyzer(circuit)  # paper defaults: 10k vectors, 16 fC
 
@@ -95,6 +95,7 @@ def test_aserta_vectorization_speedup(benchmark):
     )
 
     _merge_bench(
+        bench_path(BENCH_NAME),
         {
             "circuit": "c432",
             "config": {
@@ -109,13 +110,13 @@ def test_aserta_vectorization_speedup(benchmark):
             "after_analyses_per_s": 1.0 / after_s if after_s > 0 else None,
             "unreliability_total": array_report.total,
             "relative_error_vs_reference": relative,
-        }
+        },
     )
 
     print(
         f"\nASERTA c432 analyze: reference {before_s * 1e3:.1f} ms, "
         f"array {after_s * 1e3:.1f} ms -> {speedup:.1f}x "
-        f"-> {BENCH_JSON.name}"
+        f"-> {BENCH_NAME}"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized analyze() only {speedup:.2f}x faster than the "
@@ -123,7 +124,7 @@ def test_aserta_vectorization_speedup(benchmark):
     )
 
 
-def test_fused_sweep_speedup(benchmark):
+def test_fused_sweep_speedup(benchmark, bench_path):
     circuit = iscas85_circuit("c432")
     analyzer = AsertaAnalyzer(circuit)
     idx = analyzer.indexed
@@ -161,6 +162,7 @@ def test_fused_sweep_speedup(benchmark):
     benchmark.pedantic(fused, iterations=5, rounds=3)
 
     _merge_bench(
+        bench_path(BENCH_NAME),
         {
             "sweep": {
                 "circuit": "c432",
@@ -171,13 +173,13 @@ def test_fused_sweep_speedup(benchmark):
                 "speedup": speedup,
                 "fused_sweeps_per_s": 1.0 / fused_s if fused_s > 0 else None,
             }
-        }
+        },
     )
 
     print(
         f"\nASERTA c432 {SWEEP_LANES}-lane sweep: unfused "
         f"{unfused_s * 1e3:.2f} ms, fused {fused_s * 1e3:.2f} ms -> "
-        f"{speedup:.2f}x -> {BENCH_JSON.name}"
+        f"{speedup:.2f}x -> {BENCH_NAME}"
     )
     assert speedup >= MIN_SWEEP_SPEEDUP, (
         f"fused sweep only {speedup:.2f}x faster than the unfused loop "

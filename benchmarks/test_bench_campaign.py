@@ -14,8 +14,8 @@ Measures scenarios/second for one grid (2 circuits x 3 charges x
 * serial, warm artifacts into SQLite — recompute from cached artifacts
   into the SQLite backend, pinning JSONL↔SQLite summary equality.
 
-Emits ``BENCH_campaign.json`` next to the repository root so the
-campaign-throughput trajectory is tracked across PRs.
+Emits ``BENCH_campaign.json`` (under ``build/bench/``, see
+``conftest.py``) so the campaign-throughput trajectory is tracked.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.campaign import (
     AVIONICS,
@@ -38,7 +37,7 @@ from repro.campaign import (
 from repro.circuit import iscas85
 from repro.tech.table_builder import reset_default_tables
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
+BENCH_NAME = "BENCH_campaign.json"
 
 #: Acceptance floor for the resident-pool regime: parallel wall time at
 #: 2 workers must beat serial-cold by at least this factor.  The pool
@@ -61,7 +60,7 @@ def _spec(scale, **overrides) -> CampaignSpec:
     return CampaignSpec(**defaults)
 
 
-def test_campaign_throughput(benchmark, scale, tmp_path):
+def test_campaign_throughput(benchmark, scale, tmp_path, bench_path):
     cache_dir = str(tmp_path / "artifacts")
     spec = _spec(scale, cache_dir=cache_dir)
     store_path = tmp_path / "bench_store.jsonl"
@@ -220,12 +219,14 @@ def test_campaign_throughput(benchmark, scale, tmp_path):
         # resident pool exists (the parallel-slower regression fix).
         "auto_mode": auto.mode,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    bench_path(BENCH_NAME).write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+    )
 
     print(
         f"\nCAMP — {spec.size()} scenarios: "
         f"cold {cold.scenarios_per_second:.2f}/s, "
         f"warm {warm.scenarios_per_second:.0f}/s, "
         f"parallel({par.mode}) {par.scenarios_per_second:.2f}/s "
-        f"({(speedup or 0):.1f}x vs cold) -> {BENCH_JSON.name}"
+        f"({(speedup or 0):.1f}x vs cold) -> {BENCH_NAME}"
     )

@@ -14,7 +14,8 @@ vectors, the coordinate driver):
   visit the identical coordinate trajectory (equal ``x``, equal
   evaluation counts, per-evaluation costs within 1e-9 relative).
 
-Emits ``BENCH_sertopt.json`` for the CI benchmark artifact upload and
+Emits ``BENCH_sertopt.json`` (under ``build/bench/``, see
+``conftest.py``) for the CI benchmark artifact upload and
 ``docs/performance.md`` regeneration.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.experiments.table1_optimization import PAPER_MENUS
 from repro.tech.electrical_view import CircuitElectrical
 from repro.tech.library import CellLibrary
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sertopt.json"
+BENCH_NAME = "BENCH_sertopt.json"
 #: Matcher floor: level-batched ``match_batch`` vs a loop of scalar
 #: ``match`` on the same paper-default probe population.  Twelve
 #: idle-host runs of this gate's paired-median measurement on a 2-vCPU
@@ -74,7 +74,7 @@ def _probe_population(circuit, base_targets, seed=0, lanes=MATCH_LANES):
     return targets
 
 
-def test_sertopt_level_batched_speedup(benchmark):
+def test_sertopt_level_batched_speedup(benchmark, bench_path):
     circuit = iscas85_circuit(CIRCUIT)
     vdds, vths = PAPER_MENUS[CIRCUIT]
     library = CellLibrary.paper_library(vdds=vdds, vths=vths)
@@ -175,7 +175,9 @@ def test_sertopt_level_batched_speedup(benchmark):
         "unreliability_reduction": batched_result.unreliability_reduction,
         "delay_ratio": batched_result.delay_ratio,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    bench_path(BENCH_NAME).write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+    )
 
     print(
         f"\nSERTOPT {CIRCUIT} optimize ({batched_opt.evaluations} evals): "
@@ -183,7 +185,7 @@ def test_sertopt_level_batched_speedup(benchmark):
         f"{e2e_speedup:.1f}x end-to-end; {MATCH_LANES}-lane matcher "
         f"scalar {scalar_s * 1e3:.1f} ms, level-batched "
         f"{level_s * 1e3:.1f} ms -> {match_speedup:.2f}x "
-        f"-> {BENCH_JSON.name}"
+        f"-> {BENCH_NAME}"
     )
     assert match_speedup >= MIN_MATCH_SPEEDUP, (
         f"level-batched match_batch only {match_speedup:.2f}x faster than "

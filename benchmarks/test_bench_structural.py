@@ -8,7 +8,8 @@ then times the warm path: a second analyzer over a shared artifact
 cache, whose construction must perform zero fault-simulation work.
 Both sides are timed with the shared interleaved paired-median protocol
 (:func:`conformance.gated_speedup`).  Emits ``BENCH_structural.json``
-alongside the other ``BENCH_*.json`` artifacts uploaded by CI.
+under ``build/bench/`` (see ``conftest.py``), alongside the other
+``BENCH_*.json`` artifacts uploaded by CI.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.engine.structural import (
     structural_matrix_event,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_structural.json"
+BENCH_NAME = "BENCH_structural.json"
 #: The acceptance floor: batched structural pass vs the event-driven
 #: seed estimator, cold, on c5315.
 MIN_SPEEDUP = 3.0
@@ -41,7 +41,7 @@ SEED = 0
 PAIRS = 3
 
 
-def test_structural_batching_speedup(benchmark, scale):
+def test_structural_batching_speedup(benchmark, scale, bench_path):
     n_vectors = scale.sensitization_vectors
     circuit = iscas85_circuit(CIRCUIT)
     # Compile outside the timed region on both sides: the event path's
@@ -108,14 +108,16 @@ def test_structural_batching_speedup(benchmark, scale):
             "cache": engine.stats(),
         },
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    bench_path(BENCH_NAME).write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+    )
 
     print(
         f"\nstructural pass {CIRCUIT} ({n_vectors} vectors): "
         f"event {event_s:.2f} s, batched {batched_s:.2f} s "
         f"-> {speedup:.1f}x; warm analyzer build+analyze "
         f"{warm_build_analyze_s * 1e3:.0f} ms (0 simulations) "
-        f"-> {BENCH_JSON.name}"
+        f"-> {BENCH_NAME}"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"batched structural pass only {speedup:.2f}x faster than the "

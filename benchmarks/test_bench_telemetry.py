@@ -7,9 +7,10 @@ pre-telemetry analyze body running on the same warmed analyzer, and
 gates the overhead at 3%.  The enabled-telemetry cost is measured and
 reported in ``BENCH_telemetry.json`` but *not* gated — recording spans
 is allowed to cost something; the contract is that not asking for them
-costs nothing.  Also exports the example Chrome traces the CI bench job
-uploads: a traced c432 ``Sertopt.optimize()`` and a traced two-worker
-campaign, each validated and held to the >=90% span-coverage bar.
+costs nothing.  Also exports the example Chrome trace the CI bench job
+uploads (a traced c432 ``Sertopt.optimize()``, written under
+``build/bench/`` like every bench file) and traces a two-worker
+campaign; both are validated and held to the >=90% span-coverage bar.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from conformance import paired_times
 from repro.campaign import SEA_LEVEL, CampaignRunner, CampaignSpec, ResultStore
@@ -39,9 +39,8 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_telemetry.json"
-TRACE_JSON = REPO_ROOT / "BENCH_telemetry_trace.json"
+BENCH_NAME = "BENCH_telemetry.json"
+TRACE_NAME = "BENCH_telemetry_trace.json"
 #: Acceptance gate: disabled telemetry within 3% of the uninstrumented body.
 MAX_DISABLED_OVERHEAD = 0.03
 #: Acceptance bar for the exported traces (shared with tests).
@@ -88,7 +87,7 @@ def _paired_overhead(
     return other_s / base_s - 1.0, base_s, other_s
 
 
-def test_disabled_telemetry_overhead_gate(benchmark):
+def test_disabled_telemetry_overhead_gate(benchmark, bench_path):
     circuit = iscas85_circuit("c432")
     analyzer = AsertaAnalyzer(circuit)  # no telemetry: the null path
 
@@ -154,13 +153,15 @@ def test_disabled_telemetry_overhead_gate(benchmark):
         "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
         "unreliability_total": instrumented_total,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    bench_path(BENCH_NAME).write_text(
+        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+    )
 
     print(
         f"\ntelemetry c432 analyze: baseline {baseline_s * 1e3:.1f} ms, "
         f"disabled {disabled_s * 1e3:.1f} ms ({disabled_overhead:+.1%}), "
         f"enabled {enabled_s * 1e3:.1f} ms ({enabled_overhead:+.1%}) "
-        f"-> {BENCH_JSON.name}"
+        f"-> {BENCH_NAME}"
     )
     assert disabled_overhead <= MAX_DISABLED_OVERHEAD, (
         f"disabled-telemetry analyze() is {disabled_overhead:.1%} slower "
@@ -168,7 +169,7 @@ def test_disabled_telemetry_overhead_gate(benchmark):
     )
 
 
-def test_traced_c432_optimize_exports_valid_trace():
+def test_traced_c432_optimize_exports_valid_trace(bench_path):
     """The acceptance scenario: a traced end-to-end c432 optimize()
     exports a valid Chrome trace whose phase spans cover >=90% of the
     wall time.  The trace file is the artifact CI uploads."""
@@ -191,11 +192,11 @@ def test_traced_c432_optimize_exports_valid_trace():
     coverage = span_coverage(spans, "sertopt.optimize")
     assert coverage >= MIN_COVERAGE, f"coverage {coverage:.1%}"
     write_chrome_trace(
-        TRACE_JSON, spans, metadata={"scenario": "c432 optimize"}
+        bench_path(TRACE_NAME), spans, metadata={"scenario": "c432 optimize"}
     )
     print(
         f"\ntraced c432 optimize: {len(spans)} spans, "
-        f"coverage {coverage:.1%} -> {TRACE_JSON.name}"
+        f"coverage {coverage:.1%} -> {TRACE_NAME}"
     )
 
 

@@ -62,16 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample glitch-width counts, one analysis config per value",
     )
     parser.add_argument(
-        "--share-epsilon", type=float, default=None, metavar="EPS",
-        help="Equation-2 route-dropping cutoff (analysis-config axis; "
-        "non-default values get their own scenario digests)",
-    )
-    parser.add_argument(
-        "--structural-engine", default=None, choices=["batched", "event"],
-        help="structural P_ij estimator (bit-identical; 'event' is the "
-        "escape hatch)",
-    )
-    parser.add_argument(
         "--store", metavar="PATH", default=None,
         help="persistent result store; completed scenarios are skipped "
         "on re-runs.  A .sqlite/.sqlite3/.db suffix selects the SQLite "
@@ -133,11 +123,6 @@ def _assignments(sizes: Sequence[float]) -> dict[str, ParameterAssignment]:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        extra = {}
-        if args.share_epsilon is not None:
-            extra["share_epsilon"] = args.share_epsilon
-        if args.structural_engine is not None:
-            extra["structural_engine"] = args.structural_engine
         telemetry = None
         if args.trace_out or args.metrics:
             from repro.telemetry import Telemetry
@@ -153,7 +138,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             sample_width_counts=tuple(args.sample_widths),
             cache_dir=args.cache_dir,
             telemetry=telemetry,
-            **extra,
         )
         store = (
             ResultStore(args.store, backend=args.store_backend)

@@ -26,7 +26,6 @@ from typing import Any, Mapping
 
 from repro.campaign.environments import SEA_LEVEL, Environment
 from repro.core.aserta import AsertaConfig
-from repro.core.masking import DEFAULT_SHARE_EPSILON
 from repro.errors import AnalysisError, CampaignError
 from repro.tech import constants as k
 from repro.tech.library import CellParams, ParameterAssignment
@@ -61,13 +60,8 @@ def assignment_fingerprint(assignment: ParameterAssignment) -> str:
 class ScenarioKey:
     """One point of the campaign grid, fully identifying an analysis.
 
-    ``share_epsilon`` and ``structural_engine`` form the analysis-config
-    axis: campaigns can sweep non-default Equation-2 cutoffs or pin the
-    event-driven estimator.  At their defaults they are *omitted* from
-    the serialized form, so every digest computed before the axis
-    existed — and every record in an old result store — still matches a
-    default-config scenario exactly; a non-default value changes the
-    digest, as any analysis input must.
+    A serialized key carries exactly these fields; a stored key with
+    any other field fails to load as a malformed key.
     """
 
     circuit: str
@@ -81,11 +75,9 @@ class ScenarioKey:
     n_sample_widths: int
     input_probability: float
     use_tables: bool
-    share_epsilon: float = DEFAULT_SHARE_EPSILON
-    structural_engine: str = "batched"
 
     def to_json_dict(self) -> dict[str, Any]:
-        payload = {
+        return {
             "schema": KEY_SCHEMA,
             "circuit": self.circuit,
             "charge_fc": self.charge_fc,
@@ -99,14 +91,6 @@ class ScenarioKey:
             "input_probability": self.input_probability,
             "use_tables": self.use_tables,
         }
-        # Default values are omitted (not serialized as defaults) so
-        # digests of default-config scenarios are stable across the
-        # introduction of the analysis-config axis: old stores resume.
-        if self.share_epsilon != DEFAULT_SHARE_EPSILON:
-            payload["share_epsilon"] = self.share_epsilon
-        if self.structural_engine != "batched":
-            payload["structural_engine"] = self.structural_engine
-        return payload
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ScenarioKey":
@@ -134,8 +118,6 @@ class ScenarioKey:
             self.seed,
             self.input_probability,
             self.use_tables,
-            self.share_epsilon,
-            self.structural_engine,
         )
 
 
@@ -183,12 +165,6 @@ class CampaignSpec:
     input_probability: float = 0.5
     #: Route electrical queries through the interpolated look-up tables.
     use_tables: bool = True
-    #: Equation-2 deep-chain route-dropping cutoff (analysis-config
-    #: axis; non-default values change scenario digests).
-    share_epsilon: float = DEFAULT_SHARE_EPSILON
-    #: Structural P_ij estimator ("batched" or "event"); bit-identical
-    #: by contract, carried so campaigns can pin the escape hatch.
-    structural_engine: str = "batched"
     #: Directory for the engine's on-disk compiled-artifact cache
     #: (``P_ij`` matrices, stacked LUT tensors).  ``None`` keeps the
     #: cache in-memory per worker.  Execution configuration only: it
@@ -218,7 +194,6 @@ class CampaignSpec:
             "sample_width_counts",
             tuple(int(n) for n in self.sample_width_counts),
         )
-        object.__setattr__(self, "share_epsilon", float(self.share_epsilon))
         if not self.circuits:
             raise CampaignError("campaign needs at least one circuit")
         if len(set(self.circuits)) != len(self.circuits):
@@ -261,8 +236,6 @@ class CampaignSpec:
             ),
             input_probability=self.input_probability,
             use_tables=self.use_tables,
-            share_epsilon=self.share_epsilon,
-            structural_engine=self.structural_engine,
         )
 
     def environment_by_name(self, name: str) -> Environment:
@@ -325,8 +298,6 @@ class CampaignSpec:
                                     n_sample_widths=count,
                                     input_probability=self.input_probability,
                                     use_tables=self.use_tables,
-                                    share_epsilon=self.share_epsilon,
-                                    structural_engine=self.structural_engine,
                                 )
                             )
         return tuple(keys)

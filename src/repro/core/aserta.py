@@ -30,7 +30,6 @@ from repro.core.electrical_masking import (
     electrical_masking_many,
     electrical_masking_reference,
 )
-from repro.core.masking import DEFAULT_SHARE_EPSILON
 from repro.core.unreliability import (
     UnreliabilityReport,
     build_report,
@@ -38,11 +37,7 @@ from repro.core.unreliability import (
     gate_contributions,
     total_unreliability,
 )
-from repro.engine.engine import (
-    STRUCTURAL_ENGINES,
-    AnalysisEngine,
-    get_default_engine,
-)
+from repro.engine.engine import AnalysisEngine, get_default_engine
 from repro.engine.structural import sparse_paths_from_matrix
 from repro.errors import AnalysisError
 from repro.logicsim.bitsim import BitParallelSimulator
@@ -71,9 +66,10 @@ class AsertaConfig:
     """Knobs of one ASERTA analysis (defaults are the paper's protocol).
 
     Each field is an *analysis input*: changing any of them changes the
-    estimate (and, in campaigns, the scenario digest).  Units: charges
-    in fC, probabilities dimensionless, widths counted (the sample-width
-    grid itself is derived in ps).
+    estimate (and, in campaigns, the scenario digest), except that
+    ``input_probability`` is pinned at 0.5 for now (see its comment).
+    Units: charges in fC, probabilities dimensionless, widths counted
+    (the sample-width grid itself is derived in ps).
 
     >>> AsertaConfig().n_vectors, AsertaConfig().n_sample_widths
     (10000, 10)
@@ -91,17 +87,13 @@ class AsertaConfig:
     #: Injected charge per strike, fC (paper: fixed; 16 fC in Fig 1).
     charge_fc: float = k.DEFAULT_CHARGE_FC
     #: Static probability assumed at every primary input (paper: 0.5).
+    #: Only 0.5 is accepted: the Section-3.1 simulation draws uniform
+    #: input bits, so any other value would reach the Equation-2
+    #: sensitizations and the activities but not ``P_ij``.
     input_probability: float = 0.5
     #: Route electrical queries through the interpolated look-up tables
     #: (the ASERTA architecture); False evaluates the continuous model.
     use_tables: bool = True
-    #: Structural P_ij estimator: ``"batched"`` (the fault-site-batched
-    #: level sweep) or ``"event"`` (the original per-site event-driven
-    #: walk, kept as an escape hatch).  Bit-identical by contract.
-    structural_engine: str = "batched"
-    #: Equation-2 denominator cutoff below which a deep-chain route is
-    #: dropped (see :data:`repro.core.masking.DEFAULT_SHARE_EPSILON`).
-    share_epsilon: float = DEFAULT_SHARE_EPSILON
 
     def __post_init__(self) -> None:
         if self.n_vectors < 1:
@@ -112,18 +104,11 @@ class AsertaConfig:
             )
         if self.charge_fc < 0.0:
             raise AnalysisError(f"charge_fc must be >= 0, got {self.charge_fc}")
-        if not 0.0 <= self.input_probability <= 1.0:
+        if self.input_probability != 0.5:
             raise AnalysisError(
-                f"input_probability must be in [0, 1], got {self.input_probability}"
-            )
-        if self.structural_engine not in STRUCTURAL_ENGINES:
-            raise AnalysisError(
-                f"structural_engine must be one of {STRUCTURAL_ENGINES}, "
-                f"got {self.structural_engine!r}"
-            )
-        if not self.share_epsilon > 0.0:
-            raise AnalysisError(
-                f"share_epsilon must be > 0, got {self.share_epsilon}"
+                f"input_probability must be 0.5, got {self.input_probability}: "
+                "the P_ij simulation draws uniform input bits, so another "
+                "value would mix two input models"
             )
 
 
@@ -183,9 +168,6 @@ class AsertaAnalyzer:
     circuit and protocol; each :meth:`analyze` evaluates one parameter
     assignment.
 
-    ``share_epsilon`` overrides ``config.share_epsilon`` (the Equation-2
-    deep-chain route-dropping cutoff) without rebuilding a config.
-
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) records
     per-phase spans (``aserta.init.*``, ``aserta.electrical``,
     ``aserta.masking_sweep``, ``aserta.reduce``) and counters; ``None``
@@ -198,7 +180,6 @@ class AsertaAnalyzer:
         config: AsertaConfig | None = None,
         tables: TechnologyTables | None = None,
         engine: AnalysisEngine | None = None,
-        share_epsilon: float | None = None,
         telemetry=None,
     ) -> None:
         circuit.validate()
@@ -207,14 +188,6 @@ class AsertaAnalyzer:
         self.tables = tables if tables is not None else default_tables()
         self.engine = engine if engine is not None else get_default_engine()
         self.telemetry = resolve(telemetry)
-        if share_epsilon is None:
-            self.share_epsilon = self.config.share_epsilon
-        else:
-            if not share_epsilon > 0.0:
-                raise AnalysisError(
-                    f"share_epsilon must be > 0, got {share_epsilon}"
-                )
-            self.share_epsilon = float(share_epsilon)
         self.simulator = BitParallelSimulator(circuit)
         self.probabilities = static_probabilities(
             circuit, self.config.input_probability
@@ -227,8 +200,8 @@ class AsertaAnalyzer:
                     self.tables, self.indexed.group_pairs
                 )
         #: Dense ``(V, O)`` sensitized-path probabilities — simulated by
-        #: the configured structural engine or served from the artifact
-        #: cache (bit-identical either way).
+        #: the live-pair structural kernel or served from the artifact
+        #: cache.
         with self.telemetry.span(
             "aserta.init.structural",
             circuit=circuit.name,
@@ -238,7 +211,6 @@ class AsertaAnalyzer:
                 circuit,
                 self.config.n_vectors,
                 self.config.seed,
-                structural=self.config.structural_engine,
                 simulator=self.simulator,
             )
         #: Assignment-independent Equation-2 structure (dense shares),
@@ -251,22 +223,14 @@ class AsertaAnalyzer:
                 self.probabilities,
                 self.config.n_vectors,
                 self.config.seed,
-                epsilon=self.share_epsilon,
             )
         #: Compiled Section-3.2 sweep plan (fused per-level gathers and
-        #: slot schedule), served from the artifact cache and shared by
+        #: slot schedule), cached on the structure and shared by
         #: :meth:`analyze` and :meth:`analyze_many`.
         with self.telemetry.span(
             "aserta.init.sweep_plan", circuit=circuit.name
         ):
-            self.sweep_plan = self.engine.sweep_plan(
-                circuit,
-                self.probabilities,
-                self.config.n_vectors,
-                self.config.seed,
-                epsilon=self.share_epsilon,
-                structure=self.structure,
-            )
+            self.sweep_plan = self.engine.sweep_plan(self.structure)
         self._sensitized_paths: dict[str, dict[str, float]] | None = None
         self._activity_row: np.ndarray | None = None
 
@@ -385,7 +349,6 @@ class AsertaAnalyzer:
                         self.probabilities,
                         self.sensitized_paths,
                         sample_widths,
-                        epsilon=self.share_epsilon,
                     )
                 with telemetry.span("aserta.reduce"):
                     sizes = {

@@ -47,7 +47,6 @@ import numpy as np
 from repro.circuit.indexed import IndexedCircuit
 from repro.circuit.netlist import Circuit
 from repro.core.masking import (
-    DEFAULT_SHARE_EPSILON,
     MaskingStructure,
     masking_structure,
     propagation_shares,
@@ -259,7 +258,6 @@ def electrical_masking(
     sensitized_paths: Mapping[str, Mapping[str, float]] | None = None,
     sample_widths: np.ndarray | None = None,
     structure: MaskingStructure | None = None,
-    epsilon: float = DEFAULT_SHARE_EPSILON,
     plan: SweepPlan | None = None,
     fused: bool = True,
 ) -> ElectricalMaskingResult:
@@ -274,8 +272,7 @@ def electrical_masking(
     ``P_ij``; a structure built from a different netlist is rejected
     (different live objects with identical content are accepted, which
     is what lets the artifact cache serve structures across circuit
-    copies).  ``epsilon`` is the Equation-2 route-dropping cutoff, used
-    only when the structure is built here.
+    copies).
 
     The sweep is lane 0 of the population body
     :func:`electrical_masking_many` runs, at ``B = 1``.  ``fused`` (the
@@ -296,9 +293,7 @@ def electrical_masking(
                 "electrical_masking needs probabilities and "
                 "sensitized_paths when no structure is supplied"
             )
-        structure = masking_structure(
-            circuit, probabilities, sensitized_paths, epsilon=epsilon
-        )
+        structure = masking_structure(circuit, probabilities, sensitized_paths)
     elif (
         structure.indexed.circuit is not circuit
         and structure.indexed.circuit.content_digest()
@@ -482,7 +477,6 @@ def electrical_masking_reference(
     probabilities: Mapping[str, float],
     sensitized_paths: Mapping[str, Mapping[str, float]],
     sample_widths: np.ndarray | None = None,
-    epsilon: float = DEFAULT_SHARE_EPSILON,
 ) -> ElectricalMaskingResult:
     """The original per-gate dict walk (the seed implementation).
 
@@ -526,8 +520,7 @@ def electrical_masking_reference(
             if p_ij <= 0.0:
                 continue
             shares = propagation_shares(
-                circuit, probabilities, sensitized_paths, name, output_name,
-                epsilon=epsilon,
+                circuit, probabilities, sensitized_paths, name, output_name
             )
             if not shares:
                 continue

@@ -35,22 +35,6 @@ from repro.circuit.indexed import IndexedCircuit
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 
-#: Default cutoff below which an Equation-2 denominator is treated as
-#: "no sensitizable route".  On deep chains the product of
-#: sensitization probabilities underflows toward (and at double
-#: precision often exactly to) zero; dividing by it would blow the
-#: shares up to meaningless magnitudes, so routes whose denominator
-#: falls at or below the cutoff are dropped instead (they can only
-#: *lose* expected width — the Lemma-1 upper bound still holds).
-#: User-settable per analysis via ``AsertaAnalyzer(share_epsilon=...)``
-#: / ``AsertaConfig.share_epsilon``: raise it to prune weakly-routed
-#: edges aggressively, lower it to keep every numerically-representable
-#: route at the cost of noisier shares.
-DEFAULT_SHARE_EPSILON = 1e-12
-
-#: Backwards-compatible alias (the original private name).
-_EPSILON = DEFAULT_SHARE_EPSILON
-
 
 def sensitization_to_input(
     circuit: Circuit,
@@ -85,14 +69,12 @@ def propagation_shares(
     sensitized_paths: Mapping[str, Mapping[str, float]],
     gate_name: str,
     output_name: str,
-    epsilon: float = DEFAULT_SHARE_EPSILON,
 ) -> dict[str, float]:
     """``pi_isj`` for every successor ``s`` of ``gate_name`` (Equation 2).
 
     Returns an empty mapping when the gate cannot reach the output
     (``P_ij = 0``) or no successor offers a sensitizable route (the
-    denominator falls below ``epsilon``, see
-    :data:`DEFAULT_SHARE_EPSILON`).
+    denominator is exactly zero).
     """
     p_ij = sensitized_paths.get(gate_name, {}).get(output_name, 0.0)
     if p_ij <= 0.0:
@@ -107,7 +89,7 @@ def propagation_shares(
         if weight > 0.0:
             weights[successor] = s_is
             denominator += weight
-    if denominator <= epsilon:
+    if denominator == 0.0:
         return {}
     return {
         successor: s_is * p_ij / denominator
@@ -193,15 +175,13 @@ def masking_structure(
     sensitized_paths: Mapping[str, Mapping[str, float]] | None = None,
     indexed: IndexedCircuit | None = None,
     p_matrix: np.ndarray | None = None,
-    epsilon: float = DEFAULT_SHARE_EPSILON,
 ) -> MaskingStructure:
     """Build the dense Equation-2 structure for one circuit.
 
     ``P_ij`` comes either sparse (``sensitized_paths``, densified here)
     or already dense (``p_matrix`` over ``indexed`` row/column order, as
     the batched structural engine produces it) — exactly one of the two
-    must be given.  ``epsilon`` is the route-dropping cutoff
-    (:data:`DEFAULT_SHARE_EPSILON`).
+    must be given.
     """
     idx = circuit.indexed() if indexed is None else indexed
     if (sensitized_paths is None) == (p_matrix is None):
@@ -228,9 +208,12 @@ def masking_structure(
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = (edge_s[:, np.newaxis] * p[idx.edge_src]) / denom[idx.edge_src]
     # The scalar path drops successors with no sensitizable route to j
-    # (S_is * P_sj == 0) and whole rows whose denominator underflows.
+    # (S_is * P_sj == 0) and whole rows whose denominator is exactly
+    # zero.  No other cutoff is needed: the denominator includes the
+    # edge's own term S_is * P_sj, so pi_isj <= P_ij / P_sj
+    # <= n_vectors * P_ij (a sampled P_sj > 0 is at least 1 / n_vectors).
     shares = np.where(p[idx.edge_dst] > 0.0, shares, 0.0)
-    shares = np.where(denom[idx.edge_src] > epsilon, shares, 0.0)
+    shares = np.where(denom[idx.edge_src] > 0.0, shares, 0.0)
 
     # The level schedule is pure topology; serve it from the indexed
     # view's cached sweep plan (identical batch order by construction).
@@ -249,7 +232,6 @@ def verify_share_identity(
     sensitized_paths: Mapping[str, Mapping[str, float]],
     gate_name: str,
     output_name: str,
-    epsilon: float = DEFAULT_SHARE_EPSILON,
 ) -> tuple[float, float]:
     """Returns ``(sum_s pi_isj * P_sj, P_ij)`` — equal by construction.
 
@@ -258,8 +240,7 @@ def verify_share_identity(
     sum_k pi_ikj P_kj = P_ij").
     """
     shares = propagation_shares(
-        circuit, probabilities, sensitized_paths, gate_name, output_name,
-        epsilon=epsilon,
+        circuit, probabilities, sensitized_paths, gate_name, output_name
     )
     total = 0.0
     for successor, share in shares.items():

@@ -44,6 +44,16 @@ from repro.tech.library import (
 from repro.telemetry import resolve
 from repro.units import PS_PER_FF_V_PER_UA
 
+#: Frugality terms of the match score, in ps of delay error per unit:
+#: switching-energy proxy (fJ), relative area, and leakage (uW).
+ENERGY_WEIGHT_PS_PER_FJ = 0.6
+AREA_WEIGHT_PS = 0.03
+LEAKAGE_WEIGHT_PS_PER_UW = 5.0
+#: Score bonus of the anchor (baseline) cell, ps.
+ANCHOR_BONUS_PS = 0.5
+#: Timing-repair rounds of the ``match_with_timing*`` methods.
+REPAIR_ROUNDS = 3
+
 
 class _CellArrays:
     """Per-(gate type, fan-in) vectorized cell characterization."""
@@ -53,7 +63,6 @@ class _CellArrays:
         #: Cell -> position; cells are unique, so this is equivalent to
         #: (and much faster than) ``cells.index(...)`` anchor lookups.
         self.cell_pos = {cell: idx for idx, cell in enumerate(cells)}
-        self._frugality: dict[tuple[float, float, float], np.ndarray] = {}
         self.vdd_min = min(cell.vdd for cell in cells)
         n = len(cells)
         self.slope = np.empty(n)       # ps per fF of output capacitance
@@ -76,6 +85,13 @@ class _CellArrays:
                 gtype, fanin, cell.size, cell.length_nm, cell.vdd, cell.vth
             )
             self.area[idx] = ge.area_units(gtype, fanin, cell.size, cell.length_nm)
+        #: The per-cell frugality score term.
+        dynamic_proxy = (self.self_cap + self.input_cap) * self.vdd**2
+        self.frugality = (
+            ENERGY_WEIGHT_PS_PER_FJ * dynamic_proxy
+            + AREA_WEIGHT_PS * self.area
+            + LEAKAGE_WEIGHT_PS_PER_UW * self.leak_uw
+        )
 
     def delays_ps(self, load_ff: float, ramp_ps: float) -> np.ndarray:
         """Delay of every cell at this load and input ramp."""
@@ -83,29 +99,6 @@ class _CellArrays:
             self.slope * (self.self_cap + load_ff)
             + k.RAMP_DELAY_FRACTION * ramp_ps
         )
-
-    def frugality(
-        self,
-        energy_weight_ps_per_fj: float,
-        area_weight_ps: float,
-        leakage_weight_ps_per_uw: float,
-    ) -> np.ndarray:
-        """The per-cell frugality score term, cached per weight tuple.
-
-        Computed with exactly the expression of the scalar matcher, so
-        cached and freshly-computed scores agree bitwise.
-        """
-        key = (energy_weight_ps_per_fj, area_weight_ps, leakage_weight_ps_per_uw)
-        cached = self._frugality.get(key)
-        if cached is None:
-            dynamic_proxy = (self.self_cap + self.input_cap) * self.vdd**2
-            cached = (
-                energy_weight_ps_per_fj * dynamic_proxy
-                + area_weight_ps * self.area
-                + leakage_weight_ps_per_uw * self.leak_uw
-            )
-            self._frugality[key] = cached
-        return cached
 
 
 @dataclass
@@ -199,7 +192,6 @@ class _LevelBlock:
             wire_base[pos] = k.WIRE_CAP_PER_FANOUT_FF * max(
                 1, len(fanout_lists[pos])
             )
-        self.gate_arrays = gate_arrays
         self.wire_base = wire_base
         self.is_out = idx.is_output[self.rows]
         self.out_cols = np.flatnonzero(self.is_out)
@@ -208,6 +200,9 @@ class _LevelBlock:
         self.self_cap = np.stack([a.self_cap for a in gate_arrays])
         self.input_cap = np.stack([a.input_cap for a in gate_arrays])
         self.vdd = np.stack([a.vdd for a in gate_arrays])
+        #: Stacked ``(gates, cells)`` frugality rows — the per-group
+        #: arrays bit for bit.
+        self.frugality = np.stack([a.frugality for a in gate_arrays])
         #: ``(2, G, C)`` chosen-cell attribute stack — one gather pulls
         #: both the input capacitance and the supply of the winners.
         self.icap_vdd = np.stack([self.input_cap, self.vdd])
@@ -236,18 +231,6 @@ class _LevelBlock:
         for slot in range(self.max_deg):
             end = int(np.count_nonzero(self.fo_counts > slot))
             self.slots.append((end, self.fo_slots[:end, slot]))
-
-        self._frugality: dict[tuple[float, float, float], np.ndarray] = {}
-
-    def frugality(self, key: tuple[float, float, float]) -> np.ndarray:
-        """Stacked ``(gates, cells)`` frugality rows for one weight
-        tuple, sourced from the per-group caches so the values are the
-        per-gate arrays bit for bit."""
-        cached = self._frugality.get(key)
-        if cached is None:
-            cached = np.stack([a.frugality(*key) for a in self.gate_arrays])
-            self._frugality[key] = cached
-        return cached
 
     def anchor_slots(self, anchor_row: np.ndarray):
         """``(positions, ga, apos)`` — per-gate anchor cell indices plus
@@ -341,10 +324,6 @@ class MatchingEngine:
         target_delays: Mapping[str, float],
         input_ramps: Mapping[str, float],
         anchor: ParameterAssignment | None = None,
-        energy_weight_ps_per_fj: float = 0.6,
-        area_weight_ps: float = 0.03,
-        leakage_weight_ps_per_uw: float = 5.0,
-        anchor_bonus_ps: float = 0.5,
     ) -> ParameterAssignment:
         """Pick, for every gate, the eligible cell whose delay is closest
         to its target.
@@ -354,28 +333,22 @@ class MatchingEngine:
         only contribute a small additive delay term).
 
         The score is the delay error in ps plus small, explicitly-priced
-        frugality terms (switching-energy proxy, area, leakage), so that
+        frugality terms (switching-energy proxy, area, leakage, weighted
+        by :data:`ENERGY_WEIGHT_PS_PER_FJ`, :data:`AREA_WEIGHT_PS` and
+        :data:`LEAKAGE_WEIGHT_PS_PER_UW`), so that
         among cells within a picosecond or two of the target the cheaper
         cell wins — without them a gratuitous 1.2 V pick near a primary
         output would cascade the VDD-ordering floor over the whole fan-in
         cone.
 
         ``anchor`` (typically the baseline assignment) receives a score
-        bonus of ``anchor_bonus_ps``: when the target delay is what the
+        bonus of :data:`ANCHOR_BONUS_PS`: when the target delay is what the
         anchor cell already delivers, matching reproduces the anchor
         instead of wandering across quantization ties, so the
         zero-perturbation point of SERTOPT's search coincides with the
         baseline circuit.
         """
-        assignment, __ = self._match_once(
-            target_delays,
-            input_ramps,
-            anchor,
-            energy_weight_ps_per_fj,
-            area_weight_ps,
-            leakage_weight_ps_per_uw,
-            anchor_bonus_ps,
-        )
+        assignment, __ = self._match_once(target_delays, input_ramps, anchor)
         return assignment
 
     def match_with_timing(
@@ -384,7 +357,6 @@ class MatchingEngine:
         input_ramps: Mapping[str, float],
         max_delay_ps: float,
         anchor: ParameterAssignment | None = None,
-        repair_rounds: int = 3,
     ) -> ParameterAssignment:
         """Match, then repair timing against ``max_delay_ps``.
 
@@ -403,7 +375,7 @@ class MatchingEngine:
             raise OptimizationError(f"max_delay_ps must be > 0, got {max_delay_ps}")
         targets = dict(target_delays)
         assignment, __ = self._match_once(targets, input_ramps, anchor)
-        for __r in range(repair_rounds):
+        for __r in range(REPAIR_ROUNDS):
             # Repair against the *true* electrical view, not matching's
             # internal estimate: slow cells also slow their successors
             # through larger output ramps, which the per-gate estimate
@@ -437,10 +409,6 @@ class MatchingEngine:
         anchor: ParameterAssignment | None = None,
         reference: BatchMatchState | None = None,
         changed: np.ndarray | None = None,
-        energy_weight_ps_per_fj: float = 0.6,
-        area_weight_ps: float = 0.03,
-        leakage_weight_ps_per_uw: float = 5.0,
-        anchor_bonus_ps: float = 0.5,
     ) -> BatchMatchState:
         """One reverse-topological matching pass over a *population*.
 
@@ -474,9 +442,6 @@ class MatchingEngine:
             )
         ramp_row = self._ramp_row(input_ramps)
         anchor_row = self._anchor_row(anchor)
-        frug_key = (
-            energy_weight_ps_per_fj, area_weight_ps, leakage_weight_ps_per_uw
-        )
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.add("matcher.match_batch.calls")
@@ -487,8 +452,7 @@ class MatchingEngine:
             delta=reference is not None,
         ):
             return self._match_batch_levelwise(
-                targets, ramp_row, anchor_row, reference, changed,
-                frug_key, anchor_bonus_ps,
+                targets, ramp_row, anchor_row, reference, changed
             )
 
     def _level_plan(self) -> tuple[_LevelBlock, ...]:
@@ -533,8 +497,6 @@ class MatchingEngine:
         ramp_term: np.ndarray,
         anchor_row: np.ndarray | None,
         active_mask: np.ndarray | None,
-        frug_key: tuple[float, float, float],
-        anchor_bonus_ps: float,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Score one level block; return ``(best, icap_vdd_of_best)``.
 
@@ -548,7 +510,7 @@ class MatchingEngine:
         if gsel is None:
             slope, self_cap = blk.slope, blk.self_cap
             vdd_cells = blk.vdd
-            frug = blk.frugality(frug_key)
+            frug = blk.frugality
             gate_ar = blk.gate_ar
             icap_vdd = blk.icap_vdd
             if anchor_row is None:
@@ -558,7 +520,7 @@ class MatchingEngine:
         else:
             slope, self_cap = blk.slope[gsel], blk.self_cap[gsel]
             vdd_cells = blk.vdd[gsel]
-            frug = blk.frugality(frug_key)[gsel]
+            frug = blk.frugality[gsel]
             gate_ar = np.arange(gsel.size, dtype=np.int64)[np.newaxis, :]
             icap_vdd = blk.icap_vdd[:, gsel]
             if anchor_row is None:
@@ -581,7 +543,7 @@ class MatchingEngine:
         score = np.abs(delays - row_targets[:, :, np.newaxis])
         score += frug[np.newaxis, :, :]
         if ga is not None and ga.size:
-            score[:, ga, apos] -= anchor_bonus_ps
+            score[:, ga, apos] -= ANCHOR_BONUS_PS
         # Fast path for the common no-constraint case: every group's
         # cell menu shares one VDD floor minimum, so one level-wide
         # comparison decides whether the eligibility mask is all-true
@@ -614,8 +576,6 @@ class MatchingEngine:
         anchor_row: np.ndarray | None,
         reference: BatchMatchState | None,
         changed: np.ndarray | None,
-        frug_key: tuple[float, float, float],
-        anchor_bonus_ps: float,
     ) -> BatchMatchState:
         """The level-batched population matcher.
 
@@ -668,8 +628,6 @@ class MatchingEngine:
                     ramp_all[s:e],
                     anchor_row,
                     None,
-                    frug_key,
-                    anchor_bonus_ps,
                 )
                 cell_idx[:, rows] = best
                 state[:, :, rows] = chosen
@@ -757,8 +715,6 @@ class MatchingEngine:
                 ramp_term,
                 anchor_row,
                 sub_mask,
-                frug_key,
-                anchor_bonus_ps,
             )
             previous = cell_idx[:, rows_g]
             new_cells = np.where(sub_mask, best, previous)
@@ -785,7 +741,6 @@ class MatchingEngine:
         input_ramps,
         max_delay_ps: float,
         anchor: ParameterAssignment | None = None,
-        repair_rounds: int = 3,
     ) -> BatchMatchState:
         """:meth:`match_with_timing` for a population of target vectors.
 
@@ -809,7 +764,7 @@ class MatchingEngine:
         gate_row_mask = np.zeros(idx.n_signals, dtype=bool)
         gate_row_mask[idx.gate_rows] = True
         active = np.ones(targets.shape[0], dtype=bool)
-        for __r in range(repair_rounds):
+        for __r in range(REPAIR_ROUNDS):
             lanes = np.flatnonzero(active)
             if lanes.size == 0:
                 break
@@ -867,10 +822,6 @@ class MatchingEngine:
         target_delays: Mapping[str, float],
         input_ramps: Mapping[str, float],
         anchor: ParameterAssignment | None = None,
-        energy_weight_ps_per_fj: float = 0.6,
-        area_weight_ps: float = 0.03,
-        leakage_weight_ps_per_uw: float = 5.0,
-        anchor_bonus_ps: float = 0.5,
     ) -> tuple[ParameterAssignment, dict[str, float]]:
         """One reverse-topological matching pass.
 
@@ -908,14 +859,11 @@ class MatchingEngine:
                     f"gate {name!r}; extend the library's VDD menu"
                 )
             error = np.abs(delays - float(target))
-            frugality = arrays.frugality(
-                energy_weight_ps_per_fj, area_weight_ps, leakage_weight_ps_per_uw
-            )
-            score = np.where(eligible, error + frugality, np.inf)
+            score = np.where(eligible, error + arrays.frugality, np.inf)
             if anchor is not None:
                 anchor_index = arrays.cell_pos.get(anchor[name], -1)
                 if anchor_index >= 0 and eligible[anchor_index]:
-                    score[anchor_index] -= anchor_bonus_ps
+                    score[anchor_index] -= ANCHOR_BONUS_PS
             best = int(np.argmin(score))
             cell = arrays.cells[best]
             assignment.set(name, cell)

@@ -40,10 +40,9 @@ bit for bit for every such ``x``.  Each live contribution is computed
 with the identical expression and added in the identical per-cell
 order, so the fused execution is bitwise identical to the unfused loop
 — the conformance matrix and the Hypothesis suite pin this.  Plans are
-cached on the :class:`~repro.core.masking.MaskingStructure` and,
-across analyzers, in the engine's
-:class:`~repro.engine.cache.ArtifactCache`
-(:func:`repro.engine.artifacts.sweep_plan_key`).
+cached on the :class:`~repro.core.masking.MaskingStructure`, which the
+engine's :class:`~repro.engine.cache.ArtifactCache` shares across
+analyzers.
 
 Interpolating once per unique cell and then copying onto its pairs
 produces the same doubles each duplicate pair would have computed from

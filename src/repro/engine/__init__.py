@@ -25,7 +25,6 @@ from repro.engine.artifacts import (
 )
 from repro.engine.cache import ArtifactCache, CacheStats, EngineError
 from repro.engine.engine import (
-    STRUCTURAL_ENGINES,
     AnalysisEngine,
     get_default_engine,
     set_default_engine,
@@ -33,14 +32,12 @@ from repro.engine.engine import (
 from repro.engine.structural import (
     CompiledStructuralCircuit,
     sparse_paths_from_matrix,
-    structural_matrix,
     structural_matrix_batched,
     structural_matrix_event,
 )
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "STRUCTURAL_ENGINES",
     "AnalysisEngine",
     "ArtifactCache",
     "CacheStats",
@@ -52,7 +49,6 @@ __all__ = [
     "p_matrix_key",
     "set_default_engine",
     "sparse_paths_from_matrix",
-    "structural_matrix",
     "structural_matrix_batched",
     "structural_matrix_event",
 ]

@@ -33,9 +33,7 @@ ARTIFACT_SCHEMA = 1
 KIND_P_MATRIX = "p_matrix"
 KIND_STRUCTURE = "masking_structure"
 KIND_COMPILED = "compiled_structural"
-KIND_INDEXED = "indexed_circuit"
 KIND_STACKED_LUT = "stacked_lut"
-KIND_SWEEP_PLAN = "sweep_plan"
 
 
 def canonical_json(payload: Any) -> str:
@@ -75,12 +73,7 @@ def probability_digest(input_probabilities: Mapping[str, float] | float) -> str:
 
 
 def p_matrix_key(circuit: Circuit, n_vectors: int, seed: int) -> str:
-    """Key of the dense ``(V, O)`` sensitized-path probability matrix.
-
-    Deliberately *engine-independent*: the batched and event-driven
-    structural simulators are bit-identical by contract (asserted by the
-    differential tests), so a matrix computed by either serves both.
-    """
+    """Key of the dense ``(V, O)`` sensitized-path probability matrix."""
     return artifact_key(
         KIND_P_MATRIX,
         circuit=circuit_digest(circuit),
@@ -94,7 +87,6 @@ def structure_key(
     n_vectors: int,
     seed: int,
     input_probabilities: Mapping[str, float] | float,
-    epsilon: float,
 ) -> str:
     """Key of the assignment-independent Equation-2 masking structure."""
     return artifact_key(
@@ -103,26 +95,6 @@ def structure_key(
         n_vectors=int(n_vectors),
         seed=int(seed),
         probabilities=probability_digest(input_probabilities),
-        epsilon=float(epsilon),
-    )
-
-
-def sweep_plan_key(
-    circuit: Circuit,
-    n_vectors: int,
-    seed: int,
-    input_probabilities: Mapping[str, float] | float,
-    epsilon: float,
-) -> str:
-    """Key of one compiled Section-3.2 sweep plan: everything the
-    underlying masking structure depends on."""
-    return artifact_key(
-        KIND_SWEEP_PLAN,
-        circuit=circuit_digest(circuit),
-        n_vectors=int(n_vectors),
-        seed=int(seed),
-        probabilities=probability_digest(input_probabilities),
-        epsilon=float(epsilon),
     )
 
 
@@ -131,11 +103,6 @@ def compiled_key(circuit: Circuit) -> str:
     evaluation plan; which pairs run is decided per call, from live-pair
     masks)."""
     return artifact_key(KIND_COMPILED, circuit=circuit_digest(circuit))
-
-
-def indexed_key(circuit: Circuit) -> str:
-    """Key of the dense :class:`~repro.circuit.indexed.IndexedCircuit` view."""
-    return artifact_key(KIND_INDEXED, circuit=circuit_digest(circuit))
 
 
 def stacked_lut_key(axes_digest: str, kind: str, pairs: tuple) -> str:

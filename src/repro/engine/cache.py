@@ -287,7 +287,7 @@ class ArtifactCache:
             self.metrics.add("engine.cache.disk_evictions")
             _LOG.debug("disk budget eviction: %s (%d bytes)", path, size)
 
-    def preload_disk(self, limit: int | None = None) -> int:
+    def preload_disk(self) -> int:
         """Promote on-disk array artifacts into the in-memory tier.
 
         The warm-handoff primitive for pooled campaign workers: a worker
@@ -296,8 +296,7 @@ class ArtifactCache:
         batch arrives (inside the pool's measured spin-up window, not a
         batch's critical path), and then serves every preloaded artifact
         as an ordinary memory hit.  Most-recently-written artifacts are
-        preloaded first so a bounded LRU keeps the hottest ones;
-        ``limit`` caps the number of files read (``None`` = all).
+        preloaded first so a bounded LRU keeps the hottest ones.
         Unreadable or foreign files are skipped, exactly as in
         :meth:`load_arrays`.  Returns the number of artifacts promoted.
         """
@@ -311,8 +310,6 @@ class ArtifactCache:
             except OSError:
                 continue  # concurrently evicted
         paths.sort(reverse=True)  # newest first
-        if limit is not None:
-            paths = paths[:limit]
         loaded = 0
         for __, path in paths:
             key = path.name[: -len(".npz")]

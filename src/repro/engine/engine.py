@@ -7,10 +7,13 @@ needs:
 
 * the compiled simulation schedule
   (:class:`~repro.engine.structural.CompiledStructuralCircuit`);
-* the dense ``P_ij`` matrix — batched by default, event-driven via the
-  ``structural="event"`` escape hatch (disk-cacheable: a resumed
-  campaign or a fresh CLI run skips the fault simulation entirely);
-* the assignment-independent Equation-2 masking structure;
+* the dense ``P_ij`` matrix from the live-pair fault-site kernel
+  (disk-cacheable: a resumed campaign or a fresh CLI run skips the
+  fault simulation entirely; the event-driven
+  :func:`~repro.engine.structural.structural_matrix_event` is its
+  oracle, called directly by the tests);
+* the assignment-independent Equation-2 masking structure, with its
+  compiled Section-3.2 sweep plan;
 * stacked LUT value tensors, pre-warmed into a
   :class:`~repro.tech.table_builder.TechnologyTables` instance.
 
@@ -36,7 +39,6 @@ from repro.engine.structural import (
     CompiledStructuralCircuit,
     sparse_paths_from_matrix,
     structural_matrix_batched,
-    structural_matrix_event,
 )
 from repro.telemetry import resolve
 
@@ -46,9 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.masking import MaskingStructure
     from repro.logicsim.bitsim import BitParallelSimulator
     from repro.tech.table_builder import TechnologyTables
-
-#: Structural estimator names (the ``structural_engine`` escape hatch).
-STRUCTURAL_ENGINES = ("batched", "event")
 
 #: LUT kinds the vectorized electrical annotation gathers through.
 _STACKED_KINDS = ("input_cap", "ramp", "delay", "glitch", "static_power")
@@ -75,16 +74,10 @@ class AnalysisEngine:
         self,
         cache: ArtifactCache | None = None,
         cache_dir: str | os.PathLike | None = None,
-        structural: str = "batched",
         max_entries: int = 128,
         max_disk_bytes: int | None = None,
         telemetry=None,
     ) -> None:
-        if structural not in STRUCTURAL_ENGINES:
-            raise EngineError(
-                f"structural engine must be one of {STRUCTURAL_ENGINES}, "
-                f"got {structural!r}"
-            )
         if cache is not None and cache_dir is not None:
             raise EngineError("pass either cache or cache_dir, not both")
         if cache is not None and max_disk_bytes is not None:
@@ -101,7 +94,6 @@ class AnalysisEngine:
                 max_disk_bytes=max_disk_bytes,
             )
         )
-        self.structural = structural
         #: Fault simulations actually executed (not served from cache).
         self.structural_sim_runs = 0
         self.telemetry = resolve(telemetry)
@@ -135,49 +127,32 @@ class AnalysisEngine:
         circuit: Circuit,
         n_vectors: int,
         seed: int,
-        structural: str | None = None,
         simulator: "BitParallelSimulator | None" = None,
     ) -> np.ndarray:
-        """Dense ``(V, O)`` ``P_ij``, served from cache when possible.
-
-        The key is engine-independent (both estimators are bit-identical
-        by contract), so a matrix computed by either implementation —
-        or loaded from the disk tier — serves every caller.
-        """
-        engine = self.structural if structural is None else structural
-        if engine not in STRUCTURAL_ENGINES:
-            raise EngineError(
-                f"structural engine must be one of {STRUCTURAL_ENGINES}, "
-                f"got {engine!r}"
-            )
+        """Dense ``(V, O)`` ``P_ij``, served from cache when possible
+        (including the disk tier)."""
         key = artifacts.p_matrix_key(circuit, n_vectors, seed)
 
         def build() -> dict[str, np.ndarray]:
             self.structural_sim_runs += 1
             self.telemetry.metrics.add("engine.structural_sim_runs")
             _LOG.debug(
-                "structural simulation for %s (%d vectors, %s engine)",
-                circuit.name, n_vectors, engine,
+                "structural simulation for %s (%d vectors)",
+                circuit.name, n_vectors,
             )
             with self.telemetry.span(
                 "engine.p_matrix.build",
                 circuit=circuit.name,
                 n_vectors=n_vectors,
-                engine=engine,
             ):
-                if engine == "batched":
-                    matrix = structural_matrix_batched(
-                        circuit,
-                        n_vectors,
-                        seed,
-                        simulator=simulator,
-                        compiled=self.compiled_structural(circuit),
-                        telemetry=self.telemetry,
-                    )
-                else:
-                    matrix = structural_matrix_event(
-                        circuit, n_vectors, seed, simulator=simulator
-                    )
+                matrix = structural_matrix_batched(
+                    circuit,
+                    n_vectors,
+                    seed,
+                    simulator=simulator,
+                    compiled=self.compiled_structural(circuit),
+                    telemetry=self.telemetry,
+                )
             return {"p_matrix": matrix}
 
         return self.cache.get_or_build_arrays(key, build)["p_matrix"]
@@ -196,14 +171,11 @@ class AnalysisEngine:
         probabilities: Mapping[str, float],
         n_vectors: int,
         seed: int,
-        epsilon: float,
     ) -> "MaskingStructure":
         """The Equation-2 structure over the cached ``P_ij`` matrix."""
         from repro.core.masking import masking_structure
 
-        key = artifacts.structure_key(
-            circuit, n_vectors, seed, probabilities, epsilon
-        )
+        key = artifacts.structure_key(circuit, n_vectors, seed, probabilities)
         structure = self.cache.get(key)
         if structure is None or (
             structure.indexed.circuit is not circuit
@@ -226,46 +198,28 @@ class AnalysisEngine:
                     probabilities,
                     indexed=circuit.indexed(),
                     p_matrix=self.p_matrix(circuit, n_vectors, seed),
-                    epsilon=epsilon,
                 )
             self.cache.put(key, structure)
         return structure
 
-    def sweep_plan(
-        self,
-        circuit: Circuit,
-        probabilities: Mapping[str, float],
-        n_vectors: int,
-        seed: int,
-        epsilon: float,
-        structure: "MaskingStructure | None" = None,
-    ):
-        """The compiled Section-3.2 sweep plan, served from cache.
+    def sweep_plan(self, structure: "MaskingStructure"):
+        """The compiled Section-3.2 sweep plan of ``structure``.
 
-        Keyed like the masking structure it compiles
-        (:func:`repro.engine.artifacts.sweep_plan_key`).  ``structure``
-        short-cuts the structure lookup when the caller (an analyzer)
-        already resolved it.  A plan holds only integer schedules and
-        dense shares — all determined by the netlist content the key
-        embeds — so content-equal live circuit copies share one cached
-        plan, exactly like masking structures.
+        The plan is compiled once and kept on the structure
+        (:func:`repro.core.sweep_plan.sweep_plan_for`), which this
+        engine already caches, so content-equal circuit copies share it
+        the way they share the structure.  The first compile records an
+        ``engine.sweep_plan.build`` span.
         """
         from repro.core.sweep_plan import sweep_plan_for
 
-        if structure is None:
-            structure = self.masking_structure(
-                circuit, probabilities, n_vectors, seed, epsilon
-            )
-        key = artifacts.sweep_plan_key(
-            circuit, n_vectors, seed, probabilities, epsilon
-        )
-        plan = self.cache.get(key)
+        plan = getattr(structure, "_sweep_plan", None)
         if plan is None:
             with self.telemetry.span(
-                "engine.sweep_plan.build", circuit=circuit.name
+                "engine.sweep_plan.build",
+                circuit=structure.indexed.circuit.name,
             ):
                 plan = sweep_plan_for(structure)
-            self.cache.put(key, plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -296,7 +250,7 @@ class AnalysisEngine:
             )["values"]
             tables.adopt_stack(kind, pairs, stacked)
 
-    def warm_start(self, preload_limit: int | None = None) -> int:
+    def warm_start(self) -> int:
         """Adopt whatever the on-disk artifact tier already holds.
 
         Called by pooled campaign workers during spin-up so that the
@@ -307,7 +261,7 @@ class AnalysisEngine:
         promoted into memory.
         """
         with self.telemetry.span("engine.warm_start"):
-            return self.cache.preload_disk(limit=preload_limit)
+            return self.cache.preload_disk()
 
     def stats(self) -> dict:
         """Cache counters plus the engine's own simulation counter."""

@@ -255,8 +255,9 @@ def structural_matrix_event(
 ) -> np.ndarray:
     """Dense ``(V, O)`` matrix from the event-driven seed estimator.
 
-    The escape hatch (``structural_engine="event"``) and the baseline
-    the batched engine is differential-tested and benchmarked against.
+    The Section-3.1 oracle: the per-site walk the live-pair kernel
+    (:func:`structural_matrix_batched`) must match bit for bit, called
+    directly by the conformance suite and the structural bench.
     """
     from repro.logicsim.sensitization import sensitization_probabilities
 
@@ -264,28 +265,6 @@ def structural_matrix_event(
         circuit, n_vectors=n_vectors, seed=seed, simulator=simulator
     )
     return circuit.indexed().output_matrix(sparse)
-
-
-def structural_matrix(
-    circuit: Circuit,
-    n_vectors: int = 10000,
-    seed: int = 0,
-    engine: str = "batched",
-    simulator: BitParallelSimulator | None = None,
-    compiled: CompiledStructuralCircuit | None = None,
-) -> np.ndarray:
-    """Dispatch to one structural estimator by name."""
-    if engine == "batched":
-        return structural_matrix_batched(
-            circuit, n_vectors, seed, simulator=simulator, compiled=compiled
-        )
-    if engine == "event":
-        return structural_matrix_event(
-            circuit, n_vectors, seed, simulator=simulator
-        )
-    raise SimulationError(
-        f"structural engine must be 'batched' or 'event', got {engine!r}"
-    )
 
 
 def sparse_paths_from_matrix(

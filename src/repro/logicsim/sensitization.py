@@ -129,26 +129,24 @@ def sensitization_matrix(
     seed: int = 0,
     simulator: BitParallelSimulator | None = None,
     sensitized_paths: Mapping[str, Mapping[str, float]] | None = None,
-    engine: str = "batched",
 ) -> np.ndarray:
     """Dense ``(V, O)`` form of ``P_ij`` over ``circuit.indexed()``.
 
     Row order is the indexed circuit's topological order; columns are
     primary outputs in declaration order.  Pass ``sensitized_paths`` to
     densify an existing estimate instead of re-simulating; otherwise the
-    estimate is produced by the named structural engine — ``"batched"``
-    (:func:`repro.engine.structural.structural_matrix_batched`, the
-    fast default) or ``"event"`` (the per-site walk in this module) —
-    which are bit-identical by contract.  This is the thin compatibility
-    wrapper for callers that want the matrix without an analyzer.
+    estimate comes from the live-pair kernel
+    (:func:`repro.engine.structural.structural_matrix_batched`), which
+    matches the per-site walk in this module bit for bit.  This is the
+    thin compatibility wrapper for callers that want the matrix without
+    an analyzer.
     """
     if sensitized_paths is not None:
         return circuit.indexed().output_matrix(sensitized_paths)
-    from repro.engine.structural import structural_matrix
+    from repro.engine.structural import structural_matrix_batched
 
-    return structural_matrix(
-        circuit, n_vectors=n_vectors, seed=seed, engine=engine,
-        simulator=simulator,
+    return structural_matrix_batched(
+        circuit, n_vectors, seed, simulator=simulator
     )
 
 

@@ -120,6 +120,8 @@ class TestSpecExpansion:
             small_spec(assignments={})
         with pytest.raises(CampaignError):
             small_spec(sample_width_counts=(1,))  # AsertaConfig floor is 2
+        with pytest.raises(CampaignError, match="input_probability"):
+            small_spec(input_probability=0.3)  # AsertaConfig accepts 0.5 only
         with pytest.raises(CampaignError):
             environment("alpha-centauri")
 
@@ -586,64 +588,28 @@ class TestAnalysisConfigAxis:
         ).run(parallel=False)
         assert resumed.computed == 0 and resumed.skipped == 1
 
-    def test_non_default_epsilon_changes_digest_and_group(self):
-        base = small_spec().scenarios()[0]
-        swept = small_spec(share_epsilon=0.05).scenarios()[0]
-        assert swept.share_epsilon == 0.05
-        assert base.digest() != swept.digest()
-        assert base.structural_group() != swept.structural_group()
-        clone = ScenarioKey.from_json_dict(
-            json.loads(json.dumps(swept.to_json_dict()))
+    @pytest.mark.parametrize(
+        "field, value", [("structural_engine", "event"), ("share_epsilon", 0.05)]
+    )
+    def test_store_record_with_removed_option_fails_to_load(
+        self, tmp_path, field, value
+    ):
+        """A record whose key carries a removed analysis option is
+        refused, naming the option, instead of resuming as a
+        default-config result."""
+        result = ScenarioResult(
+            key=small_spec().scenarios()[0],
+            unreliability_total=1.0,
+            fit=2.0,
+            mission_upset_probability=0.0,
+            analyze_runtime_s=0.0,
         )
-        assert clone == swept and clone.digest() == swept.digest()
-
-    def test_event_engine_axis(self):
-        base = small_spec().scenarios()[0]
-        event = small_spec(structural_engine="event").scenarios()[0]
-        assert event.structural_engine == "event"
-        assert base.digest() != event.digest()
-        with pytest.raises(CampaignError):
-            small_spec(structural_engine="magic")
-        with pytest.raises(CampaignError):
-            small_spec(share_epsilon=0.0)
-
-    def test_epsilon_sweep_end_to_end(self):
-        """A non-default epsilon flows through the runner into the
-        analyzer: aggressive pruning can only lower (never raise) U."""
-        default = CampaignRunner(
-            small_spec(circuits=("c432",), n_vectors=400),
-            store=ResultStore(),
-        ).run(parallel=False)
-        pruned = CampaignRunner(
-            small_spec(circuits=("c432",), n_vectors=400, share_epsilon=0.2),
-            store=ResultStore(),
-        ).run(parallel=False)
-        for before, after in zip(default.results, pruned.results):
-            assert after.unreliability_total <= before.unreliability_total
-        assert any(
-            after.unreliability_total < before.unreliability_total
-            for before, after in zip(default.results, pruned.results)
-        )
-
-    def test_cli_flags(self, tmp_path, capsys):
-        from repro.campaign.__main__ import main
-
-        code = main(
-            [
-                "--circuits", "c17",
-                "--charges", "16",
-                "--environments", "sea-level",
-                "--n-vectors", "150",
-                "--share-epsilon", "0.05",
-                "--structural-engine", "event",
-                "--store", str(tmp_path / "cli.jsonl"),
-                "--serial",
-            ]
-        )
-        assert code == 0
-        record = json.loads((tmp_path / "cli.jsonl").read_text().splitlines()[0])
-        assert record["key"]["share_epsilon"] == 0.05
-        assert record["key"]["structural_engine"] == "event"
+        record = result.to_json_dict()
+        record["key"][field] = value
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CampaignError, match=f"malformed scenario key: .*{field}"):
+            ResultStore(path)
 
 
 # ------------------------------------------------- parallel amortization

@@ -9,9 +9,10 @@ re-asserted here through one shared harness (:mod:`conformance`):
   bitwise;
 * **engine** — ``analyze(engine="array")`` against the scalar
   reference walk (small circuits: the dict walk is the slow seed path);
-* **structural_engine** — the config axis end-to-end: an analyzer
-  pinned to the event-driven estimator produces the same ``P_ij`` and
-  the same totals as the batched default, bit for bit;
+* **structural** — the analyzer's ``P_ij`` (the live-pair kernel
+  behind the artifact cache) against the event-driven oracle
+  ``structural_matrix_event``, and the totals an analyzer computes
+  from either matrix, bit for bit;
 * **matcher** — every lane of the level-batched population matcher
   against the scalar per-gate ``match``, exact cell equality.
 """
@@ -34,6 +35,7 @@ from conformance import (
 )
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
 from repro.core.matching import MatchingEngine
+from repro.engine import AnalysisEngine, p_matrix_key, structural_matrix_event
 from repro.tech.library import CellLibrary
 
 N_VECTORS = 64
@@ -50,18 +52,14 @@ def analyzer_cache():
     reuses it)."""
     cache: dict[str, AsertaAnalyzer] = {}
 
-    def get(name: str, **overrides) -> AsertaAnalyzer:
-        key = name + repr(sorted(overrides.items()))
-        analyzer = cache.get(key)
+    def get(name: str) -> AsertaAnalyzer:
+        analyzer = cache.get(name)
         if analyzer is None:
             analyzer = AsertaAnalyzer(
                 conformance_circuit(name),
-                AsertaConfig(
-                    n_vectors=N_VECTORS, seed=SEED, n_sample_widths=6,
-                    **overrides,
-                ),
+                AsertaConfig(n_vectors=N_VECTORS, seed=SEED, n_sample_widths=6),
             )
-            cache[key] = analyzer
+            cache[name] = analyzer
         return analyzer
 
     return get
@@ -97,15 +95,24 @@ class TestEngineAxis:
 
 
 class TestStructuralEngineAxis:
-    """The config axis end-to-end: event-driven vs. batched P_ij."""
+    """The analyzer's P_ij vs. the event-driven oracle."""
 
     @pytest.mark.parametrize("name", SMALL_CIRCUITS)
     def test_p_matrix_and_totals_bitwise(self, name, analyzer_cache):
-        batched = analyzer_cache(name)
-        event = analyzer_cache(name, structural_engine="event")
-        np.testing.assert_array_equal(event.p_matrix, batched.p_matrix)
-        assignment = mixed_assignment(batched.circuit, seed=19)
-        assert event.analyze(assignment).total == batched.analyze(
+        analyzer = analyzer_cache(name)
+        circuit = analyzer.circuit
+        oracle = structural_matrix_event(circuit, N_VECTORS, SEED)
+        np.testing.assert_array_equal(analyzer.p_matrix, oracle)
+        # An analyzer served the oracle's matrix from its cache (no
+        # simulation of its own) reports the same totals.
+        engine = AnalysisEngine()
+        engine.cache.put(
+            p_matrix_key(circuit, N_VECTORS, SEED), {"p_matrix": oracle}
+        )
+        served = AsertaAnalyzer(circuit, analyzer.config, engine=engine)
+        assert engine.structural_sim_runs == 0
+        assignment = mixed_assignment(circuit, seed=19)
+        assert served.analyze(assignment).total == analyzer.analyze(
             assignment
         ).total
 

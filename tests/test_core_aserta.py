@@ -25,6 +25,11 @@ class TestConfig:
             AsertaConfig(charge_fc=-1.0)
         with pytest.raises(AnalysisError):
             AsertaConfig(input_probability=2.0)
+        # The P_ij simulation draws uniform bits, so any other input
+        # probability would mix two input models.
+        for p in (0.0, 0.3, 1.0):
+            with pytest.raises(AnalysisError, match="uniform input bits"):
+                AsertaConfig(input_probability=p)
 
 
 class TestAnalysis:

@@ -75,8 +75,6 @@ class TestArtifactCacheLRU:
             ArtifactCache(max_entries=0)
         with pytest.raises(EngineError):
             AnalysisEngine(cache=ArtifactCache(), cache_dir="x")
-        with pytest.raises(EngineError):
-            AnalysisEngine(structural="bogus")
 
     def test_get_or_build_builds_once(self):
         cache = ArtifactCache()
@@ -165,18 +163,6 @@ class TestWarmAnalyzer:
             engine=engine,
         )
         assert engine.structural_sim_runs == 3
-
-    def test_event_and_batched_share_one_artifact(self, engine):
-        circuit = iscas85_circuit("c17")
-        batched = AsertaAnalyzer(circuit, CONFIG, engine=engine)
-        event_config = AsertaConfig(
-            n_vectors=300, seed=5, n_sample_widths=4, structural_engine="event"
-        )
-        event = AsertaAnalyzer(circuit, event_config, engine=engine)
-        # Bit-identical by contract, so the key is engine-independent
-        # and the second analyzer is a pure cache hit.
-        assert engine.structural_sim_runs == 1
-        np.testing.assert_array_equal(event.p_matrix, batched.p_matrix)
 
     def test_disk_tier_survives_process_boundaries(self, tmp_path):
         """Simulated process restart: a brand-new engine over the same

@@ -22,7 +22,6 @@ from repro.engine.structural import (
     CompiledStructuralCircuit,
     pick_block_sites,
     sparse_paths_from_matrix,
-    structural_matrix,
     structural_matrix_batched,
     structural_matrix_event,
 )
@@ -113,17 +112,18 @@ def test_sparse_view_round_trips_exactly(c17):
 
 
 def test_dispatch_and_wrapper(c17):
-    batched = structural_matrix(c17, 128, seed=2, engine="batched")
-    event = structural_matrix(c17, 128, seed=2, engine="event")
-    np.testing.assert_array_equal(batched, event)
-    with pytest.raises(SimulationError):
-        structural_matrix(c17, 128, engine="bogus")
-    # The logicsim compatibility wrapper routes through the same code.
+    """The logicsim compatibility wrapper equals both estimators, and
+    densifies a given estimate instead of simulating."""
+    wrapped = sensitization_matrix(c17, 128, seed=2)
     np.testing.assert_array_equal(
-        sensitization_matrix(c17, 128, seed=2), batched
+        wrapped, structural_matrix_batched(c17, 128, seed=2)
     )
     np.testing.assert_array_equal(
-        sensitization_matrix(c17, 128, seed=2, engine="event"), batched
+        wrapped, structural_matrix_event(c17, 128, seed=2)
+    )
+    paths = sensitization_probabilities(c17, 128, seed=2)
+    np.testing.assert_array_equal(
+        sensitization_matrix(c17, sensitized_paths=paths), wrapped
     )
 
 

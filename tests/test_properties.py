@@ -24,8 +24,6 @@ import pytest
 
 from repro.circuit.iscas85 import iscas85_circuit, iscas85_names
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
-from repro.core.masking import DEFAULT_SHARE_EPSILON, masking_structure
-from repro.errors import AnalysisError
 
 ALL_CIRCUITS = iscas85_names()
 N_VECTORS = 128
@@ -68,11 +66,13 @@ def test_po_diagonal_is_one(name, analyzer_cache):
 def test_lemma1_wide_glitch_regime(name, analyzer_cache):
     """W_ij -> w_i * P_ij for the widest sample, on every circuit.
 
-    On the deepest benchmarks a fraction of routes is dropped by the
-    Equation-2 denominator cutoff (sensitization products underflow
-    ``_EPSILON`` on long gate chains), which can only *lose* width — so
-    the lemma is asserted as an exact upper bound everywhere plus exact
-    equality on the (overwhelming) majority of surviving routes.
+    A few routes are dropped: where P_ij > 0 but every successor has
+    S_is * P_sj == 0 exactly (the sensitization reconverges, or the
+    sampled vectors missed it), the Equation-2 denominator is exactly
+    zero and the gate routes nothing to that output.  Dropping can only
+    *lose* width — so the lemma is asserted as an exact upper bound
+    everywhere plus exact equality on the (overwhelming) majority of
+    routes.
     """
     analyzer = analyzer_cache(name)
     report = analyzer.analyze()
@@ -94,13 +94,25 @@ def test_lemma1_wide_glitch_regime(name, analyzer_cache):
 
 @pytest.mark.parametrize("name", ALL_CIRCUITS)
 def test_equation2_share_identity_dense(name, analyzer_cache):
-    """sum_s pi_isj * P_sj = P_ij wherever the route denominator
-    survives the underflow cutoff — the normalization Lemma 1 rests on,
-    checked on the dense structure of every bundled circuit."""
+    """sum_s pi_isj * P_sj = P_ij wherever the Equation-2 denominator
+    is nonzero — the normalization Lemma 1 rests on, checked on the
+    dense structure of every bundled circuit.
+
+    Every share is also finite and at most P_ij / P_sj: the denominator
+    includes the edge's own term S_is * P_sj, which is why an exact-zero
+    test is the only cutoff Equation 2 needs.
+    """
     analyzer = analyzer_cache(name)
     structure = analyzer.structure
     idx = analyzer.indexed
     p = structure.p_matrix
+    shares = structure.edge_shares
+    assert np.all(np.isfinite(shares))
+    p_src, p_dst = p[idx.edge_src], p[idx.edge_dst]
+    reaches = p_dst > 0.0
+    assert np.all(shares[~reaches] == 0.0)
+    bound = p_src[reaches] / p_dst[reaches]
+    assert np.all(shares[reaches] <= bound * (1.0 + 1e-12))
     recovered = np.zeros_like(p)
     np.add.at(
         recovered,
@@ -113,146 +125,6 @@ def test_equation2_share_identity_dense(name, analyzer_cache):
     np.testing.assert_allclose(
         recovered[internal][routed], p[internal][routed], rtol=1e-9
     )
-
-
-@pytest.mark.parametrize("name", ALL_CIRCUITS)
-def test_share_epsilon_is_tunable(name, analyzer_cache):
-    """The Equation-2 route-dropping cutoff is a real knob.
-
-    Rebuilding the dense structure with a (much) smaller epsilon can
-    only *keep more* routes — never fewer — and the share identity
-    ``sum_s pi_isj P_sj = P_ij`` must hold on every surviving route at
-    either setting.  No new simulation is needed: the structure is a
-    pure function of the cached ``P_ij`` matrix.
-    """
-    analyzer = analyzer_cache(name)
-    circuit = analyzer.circuit
-    tiny = 1e-300
-    assert tiny < DEFAULT_SHARE_EPSILON
-    default = analyzer.structure
-    loose = masking_structure(
-        circuit,
-        analyzer.probabilities,
-        indexed=analyzer.indexed,
-        p_matrix=analyzer.p_matrix,
-        epsilon=tiny,
-    )
-    routed_default = default.edge_shares > 0.0
-    routed_loose = loose.edge_shares > 0.0
-    # Monotone: every route surviving the default cutoff survives the
-    # tiny one.
-    assert np.all(routed_loose | ~routed_default)
-    idx = analyzer.indexed
-    for structure in (default, loose):
-        recovered = np.zeros_like(structure.p_matrix)
-        np.add.at(
-            recovered,
-            idx.edge_src,
-            structure.edge_shares * structure.p_matrix[idx.edge_dst],
-        )
-        internal = ~idx.is_input & ~idx.is_output
-        routed = recovered[internal] > 0.0
-        np.testing.assert_allclose(
-            recovered[internal][routed],
-            structure.p_matrix[internal][routed],
-            rtol=1e-9,
-        )
-
-
-def test_share_epsilon_prunes_weak_routes(analyzer_cache):
-    """A non-default cutoff genuinely changes the analysis.
-
-    The deepest chains lose routes to *exact-zero* denominators (the
-    sensitization products underflow double precision entirely), which
-    no epsilon can recover — but raising epsilon prunes weakly-routed
-    edges on every deep bundled circuit, the Equation-2 identity keeps
-    holding on the survivors, and the Lemma-1 *upper bound* survives a
-    full analyze() because dropping routes can only lose width.
-    """
-    strict_eps = 0.05
-    pruned_somewhere = False
-    for name in ("c6288", "c7552", "c3540"):
-        analyzer = analyzer_cache(name)
-        strict = masking_structure(
-            analyzer.circuit,
-            analyzer.probabilities,
-            indexed=analyzer.indexed,
-            p_matrix=analyzer.p_matrix,
-            epsilon=strict_eps,
-        )
-        kept_default = np.count_nonzero(analyzer.structure.edge_shares)
-        kept_strict = np.count_nonzero(strict.edge_shares)
-        assert kept_strict <= kept_default
-        pruned_somewhere |= kept_strict < kept_default
-        # Survivors still satisfy sum_s pi_isj * P_sj = P_ij.
-        idx = analyzer.indexed
-        recovered = np.zeros_like(strict.p_matrix)
-        np.add.at(
-            recovered,
-            idx.edge_src,
-            strict.edge_shares * strict.p_matrix[idx.edge_dst],
-        )
-        internal = ~idx.is_input & ~idx.is_output
-        routed = recovered[internal] > 0.0
-        np.testing.assert_allclose(
-            recovered[internal][routed],
-            strict.p_matrix[internal][routed],
-            rtol=1e-9,
-        )
-    assert pruned_somewhere, "epsilon=0.05 pruned no routes anywhere"
-
-    # End to end: the widest sample still arrives under w * P_ij.
-    analyzer = analyzer_cache("c6288")
-    strict_analyzer = AsertaAnalyzer(
-        analyzer.circuit,
-        analyzer.config,
-        engine=analyzer.engine,
-        share_epsilon=strict_eps,
-    )
-    report = strict_analyzer.analyze()
-    masking = report.masking
-    assert masking.arrays is not None
-    idx = strict_analyzer.indexed
-    wide = masking.sample_widths[-1]
-    p = strict_analyzer.structure.p_matrix
-    mask = (~idx.is_input & ~idx.is_output)[:, np.newaxis] & (p > 0.0)
-    arrived = masking.arrays.ws[:, :, -1][mask]
-    assert np.all(arrived <= wide * p[mask] * (1.0 + 1e-9))
-
-
-def test_share_epsilon_flows_through_the_analyzer():
-    """``AsertaAnalyzer(share_epsilon=...)`` reaches the Equation-2
-    structure (and is validated), without re-running the simulation."""
-    from repro.engine import AnalysisEngine
-
-    engine = AnalysisEngine()
-    circuit = iscas85_circuit("c6288")
-    config = AsertaConfig(n_vectors=N_VECTORS, seed=SEED, n_sample_widths=4)
-    default = AsertaAnalyzer(circuit, config, engine=engine)
-    loose = AsertaAnalyzer(
-        circuit, config, engine=engine, share_epsilon=1e-300
-    )
-    assert engine.structural_sim_runs == 1, "epsilon must not re-simulate"
-    assert loose.share_epsilon == 1e-300
-    assert np.count_nonzero(loose.structure.edge_shares) >= np.count_nonzero(
-        default.structure.edge_shares
-    )
-    # The config route and the kwarg route are equivalent.
-    via_config = AsertaAnalyzer(
-        circuit,
-        AsertaConfig(
-            n_vectors=N_VECTORS, seed=SEED, n_sample_widths=4,
-            share_epsilon=1e-300,
-        ),
-        engine=engine,
-    )
-    np.testing.assert_array_equal(
-        via_config.structure.edge_shares, loose.structure.edge_shares
-    )
-    with pytest.raises(AnalysisError):
-        AsertaAnalyzer(circuit, config, share_epsilon=0.0)
-    with pytest.raises(AnalysisError):
-        AsertaConfig(share_epsilon=-1.0)
 
 
 @pytest.mark.parametrize("name", ALL_CIRCUITS)
