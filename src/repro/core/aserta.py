@@ -52,7 +52,7 @@ from repro.tech.electrical_view import (
     cell_param_arrays,
     stack_cell_param_arrays,
 )
-from repro.tech.library import ParameterAssignment
+from repro.tech.library import CellParams, ParameterAssignment
 from repro.tech.table_builder import TechnologyTables, default_tables
 
 #: Ceiling on one batch's ``(B, V, O, k+1)`` masking tensor, bytes —
@@ -223,6 +223,7 @@ class AsertaAnalyzer:
                 self.probabilities,
                 self.config.n_vectors,
                 self.config.seed,
+                self.config.input_probability,
             )
         #: Compiled Section-3.2 sweep plan (fused per-level gathers and
         #: slot schedule), cached on the structure and shared by
@@ -403,7 +404,8 @@ class AsertaAnalyzer:
 
         Only the array/table path is batched: with ``use_tables=False``
         (or on gate-less circuits) this falls back to per-assignment
-        :meth:`analyze` calls, which then requires ``assignments``.
+        :meth:`analyze` calls, materializing each ``params`` lane as one
+        :class:`ParameterAssignment` over its gate rows.
         """
         if (assignments is None) == (params is None):
             raise AnalysisError(
@@ -417,10 +419,7 @@ class AsertaAnalyzer:
         idx = self.indexed
         if not self.config.use_tables or not idx.group_pairs:
             if assignments is None:
-                raise AnalysisError(
-                    "the non-array fallback of analyze_many needs "
-                    "assignments, not raw parameter arrays"
-                )
+                assignments = _assignments_from_params(idx, params)
             reports = [
                 self.analyze(
                     a, charge_fc=charge_fc, n_sample_widths=n_sample_widths
@@ -524,3 +523,23 @@ class AsertaAnalyzer:
         return AsertaBatch(
             totals=totals, delay_ps=delay, energy_fj=energy, area=area
         )
+
+
+def _assignments_from_params(idx, params: dict[str, np.ndarray]):
+    """One :class:`ParameterAssignment` per lane of ``(B, V)`` parameter
+    arrays, setting every gate row's cell (the inverse of
+    :func:`stack_cell_param_arrays` on gate rows)."""
+    names = [idx.order[row] for row in idx.gate_rows]
+    columns = [
+        params[field][:, idx.gate_rows]
+        for field in ("size", "length_nm", "vdd", "vth")
+    ]
+    return [
+        ParameterAssignment(
+            overrides={
+                name: CellParams(*(float(col[lane, pos]) for col in columns))
+                for pos, name in enumerate(names)
+            }
+        )
+        for lane in range(params["size"].shape[0])
+    ]

@@ -105,17 +105,13 @@ class _CellArrays:
 class BatchMatchState:
     """Matched cells for a population of delay-target vectors.
 
-    Arrays are ``(B, V)`` over ``circuit.indexed()`` rows; ``cell_idx``
+    ``cell_idx`` is ``(B, V)`` over ``circuit.indexed()`` rows; it
     indexes into ``cells`` (the library's cell tuple) and is ``-1`` on
-    non-gate rows.  ``input_cap``/``vdd`` carry the chosen cells' pin
-    capacitance and supply so an incremental rematch can start from a
-    previous state without re-deriving them.
+    non-gate rows.
     """
 
     cells: tuple[CellParams, ...]
     cell_idx: np.ndarray
-    input_cap: np.ndarray
-    vdd: np.ndarray
 
     def param_arrays(
         self, lanes: np.ndarray | None = None
@@ -176,9 +172,7 @@ class _LevelBlock:
         # Sort the level's gates by fan-out count, descending (stable):
         # the gates slot ``k`` touches are then always a *prefix* of the
         # level, so every per-slot update is a plain slice instead of a
-        # fancy-index gather — and any `flatnonzero` gate subset keeps
-        # the prefix property, because a subsequence of a non-increasing
-        # sequence is non-increasing.
+        # fancy-index gather.
         order = np.argsort(
             [-len(f) for f in fanout_lists], kind="stable"
         )
@@ -193,8 +187,7 @@ class _LevelBlock:
                 1, len(fanout_lists[pos])
             )
         self.wire_base = wire_base
-        self.is_out = idx.is_output[self.rows]
-        self.out_cols = np.flatnonzero(self.is_out)
+        self.out_cols = np.flatnonzero(idx.is_output[self.rows])
 
         self.slope = np.stack([a.slope for a in gate_arrays])
         self.self_cap = np.stack([a.self_cap for a in gate_arrays])
@@ -215,35 +208,25 @@ class _LevelBlock:
         #: plan arrays; assigned by ``MatchingEngine._level_plan``.
         self.span = (0, rows.size)
 
-        self.fo_counts = np.array(
-            [len(f) for f in fanout_lists], dtype=np.int64
-        )
-        self.max_deg = int(self.fo_counts.max(initial=0))
-        self.fo_slots = np.full(
-            (rows.size, self.max_deg), -1, dtype=np.int64
-        )
-        for pos, fanouts in enumerate(fanout_lists):
-            self.fo_slots[pos, : len(fanouts)] = fanouts
-        #: Full-level slot plan: slot ``j`` is ``(end, fo)`` — gates
-        #: ``[:end]`` (a prefix, by the sort above) gain successor
-        #: ``fo[g]`` as their ``j``-th fan-out load contribution.
+        #: Slot plan: slot ``j`` is ``(end, fo)`` — gates ``[:end]`` (a
+        #: prefix, by the sort above) gain successor ``fo[g]`` as their
+        #: ``j``-th fan-out load contribution.
         self.slots: list[tuple[int, np.ndarray]] = []
-        for slot in range(self.max_deg):
-            end = int(np.count_nonzero(self.fo_counts > slot))
-            self.slots.append((end, self.fo_slots[:end, slot]))
+        for slot in range(len(fanout_lists[0])):
+            column = [f[slot] for f in fanout_lists if len(f) > slot]
+            self.slots.append((len(column), np.array(column, dtype=np.int64)))
 
     def anchor_slots(self, anchor_row: np.ndarray):
-        """``(positions, ga, apos)`` — per-gate anchor cell indices plus
-        the nonnegative (position, cell) pairs — cached per anchor-row
-        array (the engine hands the same array for every match against
-        one anchor)."""
+        """``(ga, apos)`` — the level positions with an anchor cell and
+        those cells' indices — cached per anchor-row array (the engine
+        hands the same array for every match against one anchor)."""
         cached = self._anchor_slots
         if cached is None or cached[0] is not anchor_row:
             positions = anchor_row[self.rows]
             ga = np.flatnonzero(positions >= 0)
-            cached = (anchor_row, positions, ga, positions[ga])
+            cached = (anchor_row, ga, positions[ga])
             self._anchor_slots = cached
-        return cached[1], cached[2], cached[3]
+        return cached[1], cached[2]
 
 
 class MatchingEngine:
@@ -253,9 +236,8 @@ class MatchingEngine:
     population matcher :meth:`match_batch` scores one
     ``(lanes, gates, cells)`` block per reverse logic level and picks
     bitwise the same cells.  ``telemetry`` records
-    ``matcher.match_batch`` spans and the dirty-wave counters
-    (``matcher.pairs.rescored`` / ``matcher.pairs.total``) quantifying
-    how much scoring work the delta fast path avoids.
+    ``matcher.match_batch`` spans and the call, lane and repair-round
+    counters.
     """
 
     def __init__(
@@ -407,8 +389,6 @@ class MatchingEngine:
         targets: np.ndarray,
         input_ramps,
         anchor: ParameterAssignment | None = None,
-        reference: BatchMatchState | None = None,
-        changed: np.ndarray | None = None,
     ) -> BatchMatchState:
         """One reverse-topological matching pass over a *population*.
 
@@ -417,17 +397,6 @@ class MatchingEngine:
         :meth:`match` would choose for target vector ``b`` — the same
         score arithmetic runs vectorized across lanes, so ties resolve
         identically.
-
-        ``reference`` + ``changed`` enable the delta-aware fast path: a
-        coordinate probe perturbs one nullspace direction, so only gates
-        whose own target changed — or with a successor whose *chosen
-        cell* changed — can match differently than the reference state.
-        Dirtiness propagates source-ward exactly along that rule (a
-        recomputed gate that re-picks its reference cell stops the
-        wave), and untouched ``(lane, gate)`` entries are copied from
-        the reference, never rescored.  ``reference`` arrays may be
-        ``(V,)`` (one shared reference) or ``(B, V)`` (per-lane, as the
-        timing-repair rematch uses).
         """
         targets = np.asarray(targets, dtype=np.float64)
         idx = self.circuit.indexed()
@@ -435,25 +404,14 @@ class MatchingEngine:
             raise OptimizationError(
                 f"expected (B, {idx.n_signals}) targets, got {targets.shape}"
             )
-        if reference is not None and changed is None:
-            raise OptimizationError(
-                "match_batch needs the changed mask when a reference "
-                "state is supplied"
-            )
         ramp_row = self._ramp_row(input_ramps)
         anchor_row = self._anchor_row(anchor)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.add("matcher.match_batch.calls")
             tel.metrics.add("matcher.lanes", targets.shape[0])
-        with tel.span(
-            "matcher.match_batch",
-            lanes=targets.shape[0],
-            delta=reference is not None,
-        ):
-            return self._match_batch_levelwise(
-                targets, ramp_row, anchor_row, reference, changed
-            )
+        with tel.span("matcher.match_batch", lanes=targets.shape[0]):
+            return self._match_batch_levelwise(targets, ramp_row, anchor_row)
 
     def _level_plan(self) -> tuple[_LevelBlock, ...]:
         """Per-reverse-level score blocks (empty levels dropped).
@@ -490,50 +448,21 @@ class MatchingEngine:
     def _score_level(
         self,
         blk: _LevelBlock,
-        gsel: np.ndarray | None,
         loadv: np.ndarray,
         vddf: np.ndarray,
         row_targets: np.ndarray,
         ramp_term: np.ndarray,
         anchor_row: np.ndarray | None,
-        active_mask: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Score one level block; return ``(best, icap_vdd_of_best)``.
 
-        ``gsel`` restricts the block to a gate subset (delta path);
-        ``active_mask`` marks which ``(lane, gate)`` entries are live —
-        only they participate in the no-eligible-cell check, entries
-        outside it merely ride along in the rectangle.  Every arithmetic
-        expression matches the scalar matcher operation for operation,
-        so the chosen cells are bitwise those of the scalar walk.
+        Every arithmetic expression matches the scalar matcher operation
+        for operation, so the chosen cells are bitwise those of the
+        scalar walk.
         """
-        if gsel is None:
-            slope, self_cap = blk.slope, blk.self_cap
-            vdd_cells = blk.vdd
-            frug = blk.frugality
-            gate_ar = blk.gate_ar
-            icap_vdd = blk.icap_vdd
-            if anchor_row is None:
-                ga = None
-            else:
-                __, ga, apos = blk.anchor_slots(anchor_row)
-        else:
-            slope, self_cap = blk.slope[gsel], blk.self_cap[gsel]
-            vdd_cells = blk.vdd[gsel]
-            frug = blk.frugality[gsel]
-            gate_ar = np.arange(gsel.size, dtype=np.int64)[np.newaxis, :]
-            icap_vdd = blk.icap_vdd[:, gsel]
-            if anchor_row is None:
-                ga = None
-            else:
-                positions, __, __ = blk.anchor_slots(anchor_row)
-                sub_positions = positions[gsel]
-                ga = np.flatnonzero(sub_positions >= 0)
-                apos = sub_positions[ga]
-
         delays = (
-            slope[np.newaxis, :, :]
-            * (self_cap[np.newaxis, :, :] + loadv[:, :, np.newaxis])
+            blk.slope[np.newaxis, :, :]
+            * (blk.self_cap[np.newaxis, :, :] + loadv[:, :, np.newaxis])
             + ramp_term[np.newaxis, :, np.newaxis]
         )
         # score = |delay - target| + frugality, built in place; the
@@ -541,9 +470,11 @@ class MatchingEngine:
         # ineligible anchor cell still scores inf — exactly the masked
         # arithmetic (and the bit pattern) of the scalar matcher.
         score = np.abs(delays - row_targets[:, :, np.newaxis])
-        score += frug[np.newaxis, :, :]
-        if ga is not None and ga.size:
-            score[:, ga, apos] -= ANCHOR_BONUS_PS
+        score += blk.frugality[np.newaxis, :, :]
+        if anchor_row is not None:
+            ga, apos = blk.anchor_slots(anchor_row)
+            if ga.size:
+                score[:, ga, apos] -= ANCHOR_BONUS_PS
         # Fast path for the common no-constraint case: every group's
         # cell menu shares one VDD floor minimum, so one level-wide
         # comparison decides whether the eligibility mask is all-true
@@ -551,31 +482,25 @@ class MatchingEngine:
         # produces, in fewer kernels).
         if float(vddf.max(initial=0.0)) - 1e-12 > blk.vdd_min_level:
             eligible = (
-                vdd_cells[np.newaxis, :, :] >= vddf[:, :, np.newaxis] - 1e-12
+                blk.vdd[np.newaxis, :, :] >= vddf[:, :, np.newaxis] - 1e-12
             )
             ok = eligible.any(axis=2)
             if not ok.all():
-                if active_mask is not None:
-                    ok = ok | ~active_mask
-                if not ok.all():
-                    rows = blk.rows if gsel is None else blk.rows[gsel]
-                    bad = int(np.flatnonzero(~ok.all(axis=0))[0])
-                    name = self.circuit.indexed().order[rows[bad]]
-                    raise OptimizationError(
-                        f"no library cell satisfies the VDD floor for gate "
-                        f"{name!r}; extend the library's VDD menu"
-                    )
+                bad = int(np.flatnonzero(~ok.all(axis=0))[0])
+                name = self.circuit.indexed().order[blk.rows[bad]]
+                raise OptimizationError(
+                    f"no library cell satisfies the VDD floor for gate "
+                    f"{name!r}; extend the library's VDD menu"
+                )
             score[~eligible] = np.inf
         best = np.argmin(score, axis=2)
-        return best, icap_vdd[:, gate_ar, best]
+        return best, blk.icap_vdd[:, blk.gate_ar, best]
 
     def _match_batch_levelwise(
         self,
         targets: np.ndarray,
         ramp_row: np.ndarray,
         anchor_row: np.ndarray | None,
-        reference: BatchMatchState | None,
-        changed: np.ndarray | None,
     ) -> BatchMatchState:
         """The level-batched population matcher.
 
@@ -585,14 +510,11 @@ class MatchingEngine:
         VDD floors the scalar walk would.
         Fan-out load updates accumulate slot by slot in declaration
         order (a fixed-order segment sum, never ``reduceat``), keeping
-        the chosen cells bitwise identical.  The delta fast path scores
-        only the rectangle of lanes × gates the dirty wave can reach,
-        with untouched entries copied from the reference.
+        the chosen cells bitwise identical.
         """
         idx = self.circuit.indexed()
         n_lanes = targets.shape[0]
         plan = self._level_plan()
-        cells = self.library.cells()
         rows_all = self._plan_rows
         # Call-wide tensors, one gather each; every level reads a plain
         # slice (the blocks are laid out contiguously in level order).
@@ -600,140 +522,29 @@ class MatchingEngine:
         ramp_all = k.RAMP_DELAY_FRACTION * ramp_row[rows_all]
         loadv_all = np.repeat(self._plan_wire[np.newaxis, :], n_lanes, axis=0)
         vddf_all = np.zeros((n_lanes, rows_all.size))
-
-        if reference is None:
-            cell_idx = np.full((n_lanes, idx.n_signals), -1, dtype=np.int64)
-            # The chosen input capacitance and supply live stacked in one
-            # ``(2, B, V)`` tensor so load accumulation reads and winner
-            # write-back each cost a single kernel for both quantities.
-            state = np.zeros((2, n_lanes, idx.n_signals))
-            input_cap, vdd = state[0], state[1]
-
-            for blk in plan:
-                rows = blk.rows
-                s, e = blk.span
-                loadv = loadv_all[:, s:e]
-                vddf = vddf_all[:, s:e]
-                for end, fo in blk.slots:
-                    loadv[:, :end] += input_cap[:, fo]
-                    vddf[:, :end] = np.maximum(vddf[:, :end], vdd[:, fo])
-                if blk.out_cols.size:
-                    loadv[:, blk.out_cols] += k.LATCH_CAP_FF
-                best, chosen = self._score_level(
-                    blk,
-                    None,
-                    loadv,
-                    vddf,
-                    targets_all[:, s:e],
-                    ramp_all[s:e],
-                    anchor_row,
-                    None,
-                )
-                cell_idx[:, rows] = best
-                state[:, :, rows] = chosen
-
-            if self.telemetry.enabled:
-                pairs = n_lanes * rows_all.size
-                self.telemetry.metrics.add("matcher.pairs.rescored", pairs)
-                self.telemetry.metrics.add("matcher.pairs.total", pairs)
-            return BatchMatchState(
-                cells=cells, cell_idx=cell_idx, input_cap=input_cap, vdd=vdd
-            )
-
-        shape = (n_lanes, idx.n_signals)
-        changed = np.asarray(changed, dtype=bool)
-        cell_idx = np.broadcast_to(reference.cell_idx, shape).copy()
-        state = np.empty((2, n_lanes, idx.n_signals))
-        state[0] = reference.input_cap
-        state[1] = reference.vdd
+        cell_idx = np.full((n_lanes, idx.n_signals), -1, dtype=np.int64)
+        # The chosen input capacitance and supply live stacked in one
+        # ``(2, B, V)`` tensor so load accumulation reads and winner
+        # write-back each cost a single kernel for both quantities.
+        state = np.zeros((2, n_lanes, idx.n_signals))
         input_cap, vdd = state[0], state[1]
-        dirty = np.zeros(shape, dtype=bool)
-        mask_all = changed[:, rows_all]
-        track = self.telemetry.enabled
-        rescored = 0
 
         for blk in plan:
             rows = blk.rows
             s, e = blk.span
-            # Exact per-lane dirtiness: a (lane, gate) entry rescores
-            # iff its own target changed or a successor's chosen cell
-            # did — the dirty wave of the scalar walk, one slot slice
-            # per fan-out position.
-            mask = mask_all[:, s:e]
+            loadv = loadv_all[:, s:e]
+            vddf = vddf_all[:, s:e]
             for end, fo in blk.slots:
-                mask[:, :end] |= dirty[:, fo]
-            gsel = np.flatnonzero(mask.any(axis=0))
-            if gsel.size == 0:
-                continue
-            # Mostly-active levels run the slice-based full-level block:
-            # scoring the few inactive gates costs less than subsetting
-            # every tensor, and their writes are mask-gated anyway.
-            if 3 * gsel.size >= 2 * rows.size:
-                gsel_idx = None
-                rows_g = rows
-                sub_mask = mask
-                loadv = loadv_all[:, s:e]
-                vddf = vddf_all[:, s:e]
-                for end, fo in blk.slots:
-                    loadv[:, :end] += input_cap[:, fo]
-                    vddf[:, :end] = np.maximum(vddf[:, :end], vdd[:, fo])
-                if blk.out_cols.size:
-                    loadv[:, blk.out_cols] += k.LATCH_CAP_FF
-                row_targets = targets_all[:, s:e]
-                ramp_term = ramp_all[s:e]
-            else:
-                gsel_idx = gsel
-                rows_g = rows[gsel]
-                sub_mask = mask[:, gsel]
-                sub_counts = blk.fo_counts[gsel]
-                sub_slots = blk.fo_slots[gsel]
-                loadv = np.repeat(
-                    blk.wire_base[gsel][np.newaxis, :], n_lanes, axis=0
-                )
-                vddf = np.zeros((n_lanes, gsel.size))
-                for slot in range(blk.max_deg):
-                    # The fan-out-count sort survives subsetting, so the
-                    # gates with a slot-`slot` successor are a prefix.
-                    end = int(np.count_nonzero(sub_counts > slot))
-                    if end == 0:
-                        break
-                    fo = sub_slots[:end, slot]
-                    loadv[:, :end] += input_cap[:, fo]
-                    vddf[:, :end] = np.maximum(vddf[:, :end], vdd[:, fo])
-                out_sel = np.flatnonzero(blk.is_out[gsel])
-                if out_sel.size:
-                    loadv[:, out_sel] += k.LATCH_CAP_FF
-                row_targets = targets_all[:, s:e][:, gsel]
-                ramp_term = ramp_all[s:e][gsel]
-
+                loadv[:, :end] += input_cap[:, fo]
+                vddf[:, :end] = np.maximum(vddf[:, :end], vdd[:, fo])
+            if blk.out_cols.size:
+                loadv[:, blk.out_cols] += k.LATCH_CAP_FF
             best, chosen = self._score_level(
-                blk,
-                gsel_idx,
-                loadv,
-                vddf,
-                row_targets,
-                ramp_term,
-                anchor_row,
-                sub_mask,
+                blk, loadv, vddf, targets_all[:, s:e], ramp_all[s:e], anchor_row
             )
-            previous = cell_idx[:, rows_g]
-            new_cells = np.where(sub_mask, best, previous)
-            cell_idx[:, rows_g] = new_cells
-            state[:, :, rows_g] = np.where(
-                sub_mask[np.newaxis], chosen, state[:, :, rows_g]
-            )
-            dirty[:, rows_g] = sub_mask & (new_cells != previous)
-            if track:
-                rescored += int(sub_mask.sum())
-
-        if track:
-            self.telemetry.metrics.add("matcher.pairs.rescored", rescored)
-            self.telemetry.metrics.add(
-                "matcher.pairs.total", n_lanes * rows_all.size
-            )
-        return BatchMatchState(
-            cells=cells, cell_idx=cell_idx, input_cap=input_cap, vdd=vdd
-        )
+            cell_idx[:, rows] = best
+            state[:, :, rows] = chosen
+        return BatchMatchState(cells=self.library.cells(), cell_idx=cell_idx)
 
     def match_with_timing_batch(
         self,
@@ -750,8 +561,9 @@ class MatchingEngine:
         annotation), timing via the batched STA, and the
         shrink-negative-slack update applies the same expressions — so
         the per-round convergence decisions, and therefore the final
-        cells, are identical per lane.  Repair rematches run delta-style
-        against the lane's own previous round.
+        cells, are identical per lane.  Each repair round re-matches
+        the lanes whose targets moved with a full :meth:`match_batch`
+        pass.
         """
         if max_delay_ps <= 0.0:
             raise OptimizationError(
@@ -800,21 +612,9 @@ class MatchingEngine:
             targets[moving] = np.where(
                 update[adjusted], shrunk[adjusted], targets[moving]
             )
-            partial = self.match_batch(
-                targets[moving],
-                input_ramps,
-                anchor,
-                reference=BatchMatchState(
-                    cells=state.cells,
-                    cell_idx=state.cell_idx[moving],
-                    input_cap=state.input_cap[moving],
-                    vdd=state.vdd[moving],
-                ),
-                changed=update[adjusted],
-            )
-            state.cell_idx[moving] = partial.cell_idx
-            state.input_cap[moving] = partial.input_cap
-            state.vdd[moving] = partial.vdd
+            state.cell_idx[moving] = self.match_batch(
+                targets[moving], input_ramps, anchor
+            ).cell_idx
         return state
 
     def _match_once(

@@ -65,17 +65,6 @@ class SertoptConfig:
     coefficient_bound_ps: float = 300.0
     #: Seed for path sampling and stochastic optimizers.
     seed: int = 0
-    #: Evaluate candidate populations through the batched array pipeline
-    #: (matching, electrical annotation, masking sweep and Equation-5
-    #: metrics all stacked over a candidate axis).  The default
-    #: ``"coordinate"`` driver visits identical points and returns an
-    #: identical :class:`OptimizeResult` either way; the stochastic
-    #: ``"annealing"`` driver takes a *different* (population-based)
-    #: seeded walk when batched, and ``"slsqp"`` computes its gradient
-    #: from an explicitly batched finite difference — pin
-    #: ``batched_evaluation=False`` to reproduce pre-batching seeded
-    #: runs of those two drivers (also the benchmark baseline).
-    batched_evaluation: bool = True
     #: ASERTA settings used inside the cost loop.
     aserta: AsertaConfig = field(default_factory=AsertaConfig)
 
@@ -140,18 +129,17 @@ class SertoptResult:
 
 
 class _BatchedObjective:
-    """Population form of the SERTOPT objective.
+    """The SERTOPT objective, in population form.
 
     Implements the :data:`repro.core.optimizers.BatchObjective`
     protocol: a ``(B, D)`` stack of nullspace coefficient vectors maps
     to delay-target vectors (the exact per-candidate arithmetic of
-    ``DelaySpace.assigned_delays``), is matched as one full
-    level-batched pass — on coordinate-probe populations it costs about
-    what a delta pass against the current iterate's match would — and
-    is costed through :meth:`CostEvaluator.evaluate_batch`, which rides
-    the analyzer's ``analyze_many`` array pass.  Values are cached under
-    the same rounded-coefficient keys as the serial objective, so
-    speculative driver probes never recompute a visited point.
+    ``DelaySpace.assigned_delays``), is matched as one level-batched
+    pass with timing repair, and is costed through
+    :meth:`CostEvaluator.evaluate_batch`, which rides the analyzer's
+    ``analyze_many`` array pass.  :meth:`single` is the scalar view the
+    optimizer drivers take.  Values are cached under rounded-coefficient
+    keys, so speculative driver probes never recompute a visited point.
     """
 
     def __init__(
@@ -195,7 +183,7 @@ class _BatchedObjective:
 
     def single(self, x: np.ndarray) -> float:
         """Scalar objective routed through the batched pipeline, so
-        every value a batched search consumes comes from one code path."""
+        every value a search consumes comes from one code path."""
         return float(self(np.asarray(x, dtype=np.float64)[np.newaxis, :])[0])
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -350,45 +338,19 @@ class Sertopt:
                 runtime_s=time.perf_counter() - started,
             )
 
-        cache: dict[bytes, float] = {}
-
-        def objective(x: np.ndarray) -> float:
-            key = np.round(x, 4).tobytes()
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            targets = space.assigned_delays(x)
-            assignment = engine.match_with_timing(
-                targets, ramps, repair_cap_ps, anchor=baseline
-            )
-            value = evaluator.evaluate(assignment).total
-            cache[key] = value
-            return value
-
-        objective_batch = None
-        # The population pipeline needs the stacked-LUT table path; the
-        # continuous-model analyzer (use_tables=False) and gate-less
-        # circuits keep the serial objective, which supports both.
-        can_batch = (
-            self.analyzer.config.use_tables
-            and bool(self.circuit.indexed().group_pairs)
+        objective = _BatchedObjective(
+            self.circuit, space, engine, evaluator,
+            ramps, repair_cap_ps, baseline,
         )
-        if config.batched_evaluation and can_batch:
-            objective_batch = _BatchedObjective(
-                self.circuit, space, engine, evaluator,
-                ramps, repair_cap_ps, baseline,
-            )
-            objective = objective_batch.single
-
         x0 = np.zeros(space.dimension)
         search = run_optimizer(
             config.optimizer,
-            objective,
+            objective.single,
             x0,
             bounds_halfwidth=config.coefficient_bound_ps,
             max_evaluations=config.max_evaluations,
             seed=config.seed,
-            objective_batch=objective_batch,
+            objective_batch=objective,
             telemetry=self._telemetry,
         )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from repro.circuit.netlist import Circuit
 
@@ -57,19 +57,11 @@ def circuit_digest(circuit: Circuit) -> str:
     return circuit.content_digest()
 
 
-def probability_digest(input_probabilities: Mapping[str, float] | float) -> str:
-    """Digest of an input-probability specification.
-
-    Accepts the same spec :func:`repro.logicsim.probability.static_probabilities`
-    does: a single float applied to every primary input, or a name-keyed
-    mapping (missing names default to 0.5 there, so the mapping content
-    is hashed as given).
-    """
-    if isinstance(input_probabilities, Mapping):
-        payload: Any = {name: float(p) for name, p in input_probabilities.items()}
-    else:
-        payload = float(input_probabilities)
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+def probability_digest(input_probability: float) -> str:
+    """Digest of the scalar input-probability spec (the value applied
+    to every primary input)."""
+    payload = canonical_json(float(input_probability))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def p_matrix_key(circuit: Circuit, n_vectors: int, seed: int) -> str:
@@ -83,18 +75,19 @@ def p_matrix_key(circuit: Circuit, n_vectors: int, seed: int) -> str:
 
 
 def structure_key(
-    circuit: Circuit,
-    n_vectors: int,
-    seed: int,
-    input_probabilities: Mapping[str, float] | float,
+    circuit: Circuit, n_vectors: int, seed: int, input_probability: float
 ) -> str:
-    """Key of the assignment-independent Equation-2 masking structure."""
+    """Key of the assignment-independent Equation-2 masking structure.
+
+    Keyed on the scalar ``input_probability`` the per-signal static
+    probabilities derive from, not on the derived mapping itself.
+    """
     return artifact_key(
         KIND_STRUCTURE,
         circuit=circuit_digest(circuit),
         n_vectors=int(n_vectors),
         seed=int(seed),
-        probabilities=probability_digest(input_probabilities),
+        probabilities=probability_digest(input_probability),
     )
 
 

@@ -171,11 +171,20 @@ class AnalysisEngine:
         probabilities: Mapping[str, float],
         n_vectors: int,
         seed: int,
+        input_probability: float,
     ) -> "MaskingStructure":
-        """The Equation-2 structure over the cached ``P_ij`` matrix."""
+        """The Equation-2 structure over the cached ``P_ij`` matrix.
+
+        ``probabilities`` is the per-signal static-probability mapping
+        the structure is built from; it must derive from the scalar
+        ``input_probability``, which keys the cache entry (hashing the
+        scalar instead of the whole mapping keeps warm lookups cheap).
+        """
         from repro.core.masking import masking_structure
 
-        key = artifacts.structure_key(circuit, n_vectors, seed, probabilities)
+        key = artifacts.structure_key(
+            circuit, n_vectors, seed, input_probability
+        )
         structure = self.cache.get(key)
         if structure is None or (
             structure.indexed.circuit is not circuit

@@ -82,15 +82,8 @@ def optimize_circuit(
     scale: ExperimentScale,
     weights: CostWeights | None = None,
     seed: int = 0,
-    batched: bool = True,
 ) -> SertoptResult:
-    """Run SERTOPT on one circuit with its paper menu.
-
-    ``batched`` selects the population-evaluated objective (the
-    default; the coordinate driver's Table-1 numbers are identical
-    either way, only faster) — ``False`` forces the original
-    one-candidate-at-a-time loop for comparisons.
-    """
+    """Run SERTOPT on one circuit with its paper menu."""
     circuit = iscas85_circuit(name)
     vdds, vths = PAPER_MENUS.get(name, ((0.8, 1.0, 1.2), (0.1, 0.2, 0.3)))
     library = CellLibrary.paper_library(vdds=vdds, vths=vths)
@@ -98,7 +91,6 @@ def optimize_circuit(
         weights=weights if weights is not None else CostWeights(),
         max_evaluations=scale.optimizer_evaluations,
         seed=seed,
-        batched_evaluation=batched,
         aserta=AsertaConfig(
             n_vectors=scale.sensitization_vectors, seed=seed
         ),

@@ -2,8 +2,8 @@
 
 The registry standardizes the counters that used to live as ad-hoc
 attributes (``AnalysisEngine.structural_sim_runs``, ``CacheStats``,
-campaign ``_WORKER_STATS``, matcher dirty-wave tallies, optimizer probe
-accounting) under dotted names:
+campaign ``_WORKER_STATS``, matcher call and repair-round tallies,
+optimizer probe accounting) under dotted names:
 
 >>> metrics = MetricsRegistry()
 >>> metrics.add("engine.cache.hits")

@@ -3,11 +3,14 @@
 Every fast path in the repo is gated by a differential against its slow
 reference: the vectorized masking sweep against the dict walk, the
 fused sweep plan against the unfused per-level loop, the batched
-structural estimator against the event-driven one, and the
-level-batched matcher against the scalar per-gate ``match``.  The
-assertions those suites share live here, so ``test_differential``,
-``test_batched_core``, ``test_engine_structural`` and the conformance
-matrix (``test_conformance_matrix``) state one contract in one place.
+structural estimator against the event-driven one, the
+level-batched matcher against the scalar per-gate ``match``, and the
+population SERTOPT objective against the same search run one candidate
+at a time (:func:`serial_search`).  The assertions those suites share
+live here, so ``test_differential``, ``test_batched_core``,
+``test_engine_structural``, ``test_batched_sertopt``, the SERTOPT bench
+and the conformance matrix (``test_conformance_matrix``) state one
+contract in one place.
 
 Comparison discipline: the fused sweep, every batched/serial pair and
 the matcher are held to *bitwise* equality
@@ -30,17 +33,21 @@ import pytest
 
 from repro.circuit.generator import GeneratorSpec, generate_circuit
 from repro.circuit.iscas85 import iscas85_circuit, iscas85_names
+from repro.core.cost import CostEvaluator
 from repro.core.electrical_masking import (
     default_sample_widths,
     default_sample_widths_batch,
     electrical_masking,
     electrical_masking_many,
 )
+from repro.core.optimizers import run_optimizer
 from repro.engine.structural import (
     structural_matrix_batched,
     structural_matrix_event,
 )
+from repro.sta.timing import analyze_timing
 from repro.tech.electrical_view import (
+    CircuitElectrical,
     batched_electrical_arrays,
     stack_cell_param_arrays,
 )
@@ -279,12 +286,63 @@ def assert_lanes_match_scalar(
             assert batched[name] == serial[name], (context, lane, name)
 
 
-def assert_matcher_states_equal(a, b, context: str = "") -> None:
-    """Matched states must be bitwise identical: same cells, same input
-    capacitances, same supplies."""
-    np.testing.assert_array_equal(a.cell_idx, b.cell_idx, err_msg=context)
-    np.testing.assert_array_equal(a.input_cap, b.input_cap, err_msg=context)
-    np.testing.assert_array_equal(a.vdd, b.vdd, err_msg=context)
+# ---------------------------------------------------------------------------
+# SERTOPT: the population objective vs. the one-candidate-at-a-time search
+# ---------------------------------------------------------------------------
+
+
+def scalar_candidate(sertopt, result):
+    """``x -> (assignment, CostBreakdown)`` for ``result``'s search,
+    one candidate at a time: scalar ``match_with_timing`` on
+    ``result.delay_space``'s targets, anchored on
+    ``result.baseline_assignment``, costed by
+    :meth:`CostEvaluator.evaluate` — the same targets, ramps and repair
+    cap :meth:`Sertopt.optimize` derives from that baseline."""
+    circuit = sertopt.circuit
+    config = sertopt.config
+    baseline = result.baseline_assignment
+    space = result.delay_space
+    evaluator = CostEvaluator(sertopt.analyzer, baseline, weights=config.weights)
+    elec = CircuitElectrical(circuit, baseline, use_tables=False)
+    ramps = dict(elec.input_ramp_ps)
+    cap = (
+        analyze_timing(circuit, elec.delay_ps).delay_ps
+        * config.weights.timing_cap
+    )
+
+    def realize(x: np.ndarray):
+        assignment = sertopt.matcher.match_with_timing(
+            space.assigned_delays(x), ramps, cap, anchor=baseline
+        )
+        return assignment, evaluator.evaluate(assignment)
+
+    return realize
+
+
+def serial_search(sertopt, result):
+    """Re-run ``result``'s search with the scalar driver
+    (``run_optimizer`` with no ``objective_batch``) over the
+    :func:`scalar_candidate` objective, with its rounded-coefficient
+    value cache — the oracle of the population objective
+    :meth:`Sertopt.optimize` runs.  Returns the ``OptimizeResult``."""
+    config = sertopt.config
+    realize = scalar_candidate(sertopt, result)
+    cache: dict[bytes, float] = {}
+
+    def objective(x: np.ndarray) -> float:
+        key = np.round(x, 4).tobytes()
+        if key not in cache:
+            cache[key] = realize(x)[1].total
+        return cache[key]
+
+    return run_optimizer(
+        config.optimizer,
+        objective,
+        np.zeros(result.delay_space.dimension),
+        bounds_halfwidth=config.coefficient_bound_ps,
+        max_evaluations=config.max_evaluations,
+        seed=config.seed,
+    )
 
 
 # ---------------------------------------------------------------------------

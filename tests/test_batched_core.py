@@ -2,7 +2,7 @@
 
 Every batched layer — electrical annotation, continuous-model delays,
 static timing, the Section-3.2 masking sweep, ``analyze_many``, batched
-matching with and without the delta fast path, and the batched cost —
+matching with and without timing repair, and the batched cost —
 is compared lane by lane against its one-candidate counterpart.  The
 contract is strict: matched cells, unreliability totals and timing are
 *bit-identical* (the batched SERTOPT trajectory equivalence rests on
@@ -18,7 +18,6 @@ import pytest
 from conformance import (
     RTOL,
     assert_lanes_match_scalar,
-    assert_matcher_states_equal as _assert_states_equal,
     mixed_assignments as _mixed_assignments,
 )
 from repro.circuit.generator import GeneratorSpec, generate_circuit
@@ -43,6 +42,7 @@ from repro.tech.electrical_view import (
     stack_cell_param_arrays,
 )
 from repro.tech.library import CellLibrary, ParameterAssignment
+from repro.telemetry import Telemetry
 
 SPECS = [
     GeneratorSpec("batch-control", 6, 3, 40, 5, seed=2, flavor="control"),
@@ -252,7 +252,8 @@ class TestAnalyzeMany:
 
     def test_reference_fallback_matches(self):
         """``use_tables=False`` analyzers fall back to per-assignment
-        analyze() calls with identical totals."""
+        analyze() calls with identical totals, from assignments or from
+        raw parameter arrays alike."""
         circuit = iscas85_circuit("c17")
         analyzer = AsertaAnalyzer(
             circuit, AsertaConfig(n_vectors=256, seed=3, use_tables=False)
@@ -261,10 +262,10 @@ class TestAnalyzeMany:
         batch = analyzer.analyze_many(assignments)
         for lane, assignment in enumerate(assignments):
             assert batch.totals[lane] == analyzer.analyze(assignment).total
-        with pytest.raises(AnalysisError):
-            analyzer.analyze_many(
-                params=stack_cell_param_arrays(circuit.indexed(), assignments)
-            )
+        by_params = analyzer.analyze_many(
+            params=stack_cell_param_arrays(circuit.indexed(), assignments)
+        )
+        np.testing.assert_array_equal(by_params.totals, batch.totals)
 
 
 class TestBatchedMatching:
@@ -308,25 +309,6 @@ class TestBatchedMatching:
             for name in engine._reverse_order:
                 assert batched[name] == serial[name], (lane, name)
 
-    def test_delta_reference_path_identical(self, matcher_case):
-        """Matching against a reference state (rescoring only the fan-in
-        cone of the changed targets) picks exactly the full-match cells."""
-        circuit, engine, baseline, base_targets, ramps, idx = matcher_case
-        ref_state = engine.match_batch(
-            base_targets[np.newaxis, :], ramps, anchor=baseline
-        )
-        targets = self._target_population(base_targets, idx, seed=2, count=6)
-        full = engine.match_batch(targets, ramps, anchor=baseline)
-        delta = engine.match_batch(
-            targets,
-            ramps,
-            anchor=baseline,
-            reference=ref_state,
-            changed=targets != base_targets[np.newaxis, :],
-        )
-        np.testing.assert_array_equal(full.cell_idx, delta.cell_idx)
-        np.testing.assert_array_equal(full.input_cap, delta.input_cap)
-
     def test_match_with_timing_batch_equals_serial(self, matcher_case):
         circuit, engine, baseline, base_targets, ramps, idx = matcher_case
         # Aggressively slowed targets force the repair loop to engage.
@@ -360,11 +342,6 @@ class TestBatchedMatching:
             engine.match_with_timing_batch(
                 base_targets[np.newaxis, :], ramps, 0.0
             )
-        ref = engine.match_batch(base_targets[np.newaxis, :], ramps)
-        with pytest.raises(OptimizationError):
-            engine.match_batch(
-                base_targets[np.newaxis, :], ramps, reference=ref
-            )  # changed mask missing
 
     def test_param_arrays_match_materialized(self, matcher_case):
         circuit, engine, baseline, base_targets, ramps, idx = matcher_case
@@ -385,10 +362,7 @@ class TestLevelBatchedMatcher:
     exactly the cells scalar :meth:`MatchingEngine.match` (and
     ``match_with_timing``) picks for its targets — across every
     ISCAS'85 netlist, the generator families, and the level-shape edge
-    cases (single-gate levels, fan-out-bearing primary outputs, dead
-    levels under the dirty wave).  The delta (dirty-wave) pass is also
-    held bitwise to the full pass: same cells, capacitances and
-    supplies.
+    cases (single-gate levels, fan-out-bearing primary outputs).
     """
 
     LIBRARY = CellLibrary.paper_library(vdds=(0.8, 1.0), vths=(0.2,))
@@ -411,33 +385,6 @@ class TestLevelBatchedMatcher:
         assert_lanes_match_scalar(
             engine, full, targets, ramps, anchor, context=f"{name} full pass"
         )
-
-        # Delta pass against a one-lane reference, mixed sparse deltas.
-        base = self._random_targets(circuit, 1, seed=14)
-        ref = engine.match_batch(base, ramps, anchor=anchor)
-        assert_lanes_match_scalar(
-            engine, ref, base, ramps, anchor, context=f"{name} reference"
-        )
-        idx = circuit.indexed()
-        rng = np.random.default_rng(15)
-        delta_targets = np.tile(base[0], (lanes, 1))
-        for lane in range(lanes):
-            picks = rng.choice(
-                idx.gate_rows, size=max(1, idx.n_gates // 8), replace=False
-            )
-            delta_targets[lane, picks] *= rng.uniform(0.4, 2.5, picks.size)
-        changed = delta_targets != base
-        delta = engine.match_batch(
-            delta_targets, ramps, anchor=anchor,
-            reference=ref, changed=changed,
-        )
-        assert_lanes_match_scalar(
-            engine, delta, delta_targets, ramps, anchor,
-            context=f"{name} delta pass",
-        )
-        # ... and the dirty wave must land on the full recompute exactly.
-        full_delta = engine.match_batch(delta_targets, ramps, anchor=anchor)
-        _assert_states_equal(delta, full_delta, f"{name} wave vs full")
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.name for s in SPECS])
     def test_generator_circuits_bitwise(self, spec):
@@ -488,43 +435,11 @@ class TestLevelBatchedMatcher:
             {}, context="po-fanout",
         )
 
-    def test_dirty_wave_mixed_patterns(self):
-        """Delta patterns from no-op to whole-circuit: the wave must
-        stop, spread, and copy untouched entries so every lane still
-        picks the scalar walk's cells."""
-        circuit = iscas85_circuit("c880")
-        idx = circuit.indexed()
-        base = self._random_targets(circuit, 1, seed=31)[0]
-        engine = MatchingEngine(circuit, self.LIBRARY)
-        ref = engine.match_batch(base[np.newaxis, :], {}, anchor=None)
-        rng = np.random.default_rng(32)
-        lanes = 5
-        targets = np.tile(base, (lanes, 1))
-        # lane 0: untouched; lane 1: one deep gate; lane 2: one PO-side
-        # gate; lane 3: a third of the circuit; lane 4: every gate.
-        targets[1, idx.gate_rows[0]] *= 1.7
-        targets[2, idx.gate_rows[-1]] *= 0.3
-        third = rng.choice(idx.gate_rows, size=idx.n_gates // 3, replace=False)
-        targets[3, third] *= rng.uniform(0.5, 2.0, third.size)
-        targets[4, idx.gate_rows] *= rng.uniform(
-            0.6, 1.6, idx.gate_rows.size
-        )
-        changed = targets != base[np.newaxis, :]
-        assert not changed[0].any()
-        delta = engine.match_batch(
-            targets, {}, anchor=None, reference=ref, changed=changed
-        )
-        assert_lanes_match_scalar(
-            engine, delta, targets, {}, context="mixed wave"
-        )
-        np.testing.assert_array_equal(delta.cell_idx[0], ref.cell_idx[0])
-        _assert_states_equal(
-            delta, engine.match_batch(targets, {}, anchor=None),
-            "wave vs full",
-        )
-
-    def test_match_with_timing_batch_schedules_agree(self):
-        circuit = iscas85_circuit("c499")
+    @pytest.mark.parametrize("name", ["c432", "c499", "c880"])
+    def test_match_with_timing_batch_schedules_agree(self, name):
+        """Timing repair, re-matching the moving lanes with the full
+        level pass, lands on the scalar ``match_with_timing`` cells."""
+        circuit = iscas85_circuit(name)
         library = CellLibrary.paper_library(vdds=(0.8, 1.0), vths=(0.2, 0.3))
         baseline = size_for_speed(circuit, library)
         elec = CircuitElectrical(circuit, baseline, use_tables=False)
@@ -538,15 +453,19 @@ class TestLevelBatchedMatcher:
         for lane in (0, 2, 3):
             picks = rng.choice(idx.gate_rows, size=20, replace=False)
             targets[lane, picks] *= rng.uniform(0.5, 3.0, picks.size)
-        engine = MatchingEngine(circuit, library)
+        tel = Telemetry()
+        engine = MatchingEngine(circuit, library, telemetry=tel)
         assert_lanes_match_scalar(
             engine,
             engine.match_with_timing_batch(
                 targets, ramps, cap, anchor=baseline
             ),
             targets, ramps, baseline, max_delay_ps=cap,
-            context="timing repair",
+            context=f"{name} timing repair",
         )
+        # The first pass plus at least one repair re-match.
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["matcher.match_batch.calls"] >= 2
 
     def test_scalar_match_agrees_with_level_batch(self):
         circuit = iscas85_circuit("c17")

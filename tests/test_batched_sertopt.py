@@ -4,8 +4,9 @@ The contract under test: with a batched objective, the deterministic
 coordinate driver visits *identical points in identical order on an
 identical budget* as the scalar driver — speculative population probes
 never count — and the end-to-end ``Sertopt.optimize`` flow returns the
-same ``OptimizeResult.x``/``evaluations`` with per-evaluation costs
-equal to 1e-9 relative.
+same ``OptimizeResult.x``/``evaluations`` as its search re-run one
+candidate at a time (``conformance.serial_search``), with
+per-evaluation costs equal to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conformance import scalar_candidate, serial_search
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaConfig
 from repro.core.optimizers import (
@@ -24,6 +26,7 @@ from repro.core.optimizers import (
 from repro.core.sertopt import Sertopt, SertoptConfig
 from repro.errors import OptimizationError
 from repro.tech.library import CellLibrary
+from repro.telemetry import Telemetry
 
 
 class _Plateau:
@@ -149,62 +152,60 @@ class TestSertoptFlowEquivalence:
     def pair(self):
         circuit = iscas85_circuit("c432")
         library = CellLibrary.paper_library(vdds=(0.8, 1.0), vths=(0.2, 0.3))
-        shared = dict(
-            max_evaluations=50,
-            seed=0,
-            aserta=AsertaConfig(n_vectors=1200, seed=0),
+        sertopt = Sertopt(
+            circuit, library=library,
+            config=SertoptConfig(
+                max_evaluations=50,
+                seed=0,
+                aserta=AsertaConfig(n_vectors=1200, seed=0),
+            ),
         )
-        serial = Sertopt(
-            circuit, library=library,
-            config=SertoptConfig(batched_evaluation=False, **shared),
-        ).optimize()
-        batched = Sertopt(
-            circuit, library=library,
-            config=SertoptConfig(batched_evaluation=True, **shared),
-        ).optimize()
-        return serial, batched
+        result = sertopt.optimize()
+        return sertopt, result, serial_search(sertopt, result)
 
     def test_identical_search_trajectory(self, pair):
-        serial, batched = pair
-        np.testing.assert_array_equal(
-            serial.optimizer_result.x, batched.optimizer_result.x
-        )
-        assert (
-            serial.optimizer_result.evaluations
-            == batched.optimizer_result.evaluations
-        )
+        __s, result, serial = pair
+        np.testing.assert_array_equal(serial.x, result.optimizer_result.x)
+        assert serial.evaluations == result.optimizer_result.evaluations
 
     def test_costs_within_tolerance(self, pair):
-        serial, batched = pair
-        hs = np.array(serial.optimizer_result.history)
-        hb = np.array(batched.optimizer_result.history)
+        __s, result, serial = pair
+        hs = np.array(serial.history)
+        hb = np.array(result.optimizer_result.history)
         assert hs.shape == hb.shape
         assert float(np.max(np.abs(hs - hb) / np.abs(hs))) <= 1e-9
 
     def test_same_optimized_assignment(self, pair):
-        serial, batched = pair
-        circuit = iscas85_circuit("c432")
-        for gate in circuit.gates():
-            assert serial.optimized_assignment[gate.name] == (
-                batched.optimized_assignment[gate.name]
+        """The returned assignment is the scalar match at the serial
+        search's optimum, with its Equation-5 cost."""
+        sertopt, result, serial = pair
+        assignment, breakdown = scalar_candidate(sertopt, result)(serial.x)
+        # No fall-back to the baseline: the search found an improvement.
+        assert breakdown.total <= sertopt.config.weights.total_weight
+        for gate in sertopt.circuit.gates():
+            assert result.optimized_assignment[gate.name] == (
+                assignment[gate.name]
             )
-        assert serial.unreliability_reduction == pytest.approx(
-            batched.unreliability_reduction, rel=1e-9
+        assert result.unreliability_reduction == pytest.approx(
+            breakdown.unreliability_reduction, rel=1e-9
         )
 
-    def test_use_tables_false_falls_back_to_serial_objective(self):
-        """The population pipeline is table-path only; a continuous-model
-        analyzer must quietly keep the serial objective instead of
-        crashing on the first evaluation."""
+    def test_use_tables_false_population_objective(self):
+        """A continuous-model analyzer runs the same population
+        objective: its ``analyze_many`` falls back to per-lane
+        ``analyze()`` calls on the matcher's parameter arrays."""
         circuit = iscas85_circuit("c17")
         config = SertoptConfig(
             max_evaluations=8,
             seed=1,
             aserta=AsertaConfig(n_vectors=300, seed=1, use_tables=False),
         )
-        result = Sertopt(circuit, config=config).optimize()
+        tel = Telemetry()
+        result = Sertopt(circuit, config=config, telemetry=tel).optimize()
         assert result.optimizer_result.evaluations <= 8
         assert result.optimized.total <= result.baseline.total + 1e-9
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["matcher.match_batch.calls"] >= 1
 
     def test_batched_annealing_runs_and_respects_budget(self):
         circuit = iscas85_circuit("c432")

@@ -26,6 +26,7 @@ from repro.engine import (
     p_matrix_key,
     set_default_engine,
 )
+from repro.engine.artifacts import structure_key
 
 CONFIG = AsertaConfig(n_vectors=300, seed=5, n_sample_widths=4)
 
@@ -150,6 +151,17 @@ class TestWarmAnalyzer:
         analyzer = AsertaAnalyzer(iscas85_circuit("c17"), CONFIG, engine=engine)
         with pytest.raises((ValueError, RuntimeError)):
             analyzer.p_matrix[:] = 0.0
+
+    def test_structure_shared_and_keyed_on_input_probability(self, engine):
+        """Two analyzers of one circuit and protocol share one masking
+        structure, cached under the key of the scalar input probability
+        the static probabilities derive from."""
+        circuit = iscas85_circuit("c432")
+        first = AsertaAnalyzer(circuit, CONFIG, engine=engine)
+        second = AsertaAnalyzer(iscas85_circuit("c432"), CONFIG, engine=engine)
+        assert second.structure is first.structure
+        key = structure_key(circuit, CONFIG.n_vectors, CONFIG.seed, 0.5)
+        assert engine.cache.get(key) is first.structure
 
     def test_protocol_change_misses(self, engine):
         circuit = iscas85_circuit("c17")

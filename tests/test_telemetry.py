@@ -351,7 +351,7 @@ class TestTracedOptimize:
             == result.optimizer_result.evaluations
         )
         assert counters["matcher.match_batch.calls"] >= 1
-        assert counters["matcher.pairs.total"] >= counters["matcher.pairs.rescored"]
+        assert counters["matcher.lanes"] >= counters["matcher.match_batch.calls"]
         assert (
             counters["optimizer.probes.speculated"]
             >= counters["optimizer.probes.replayed"]
