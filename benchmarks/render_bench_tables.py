@@ -48,6 +48,13 @@ DOC_PATH = ROOT / "docs" / "performance.md"
 README_PATH = ROOT / "README.md"
 MARKER_BEGIN = "<!-- BENCH-TABLES:BEGIN (generated by benchmarks/render_bench_tables.py — do not edit) -->"
 MARKER_END = "<!-- BENCH-TABLES:END -->"
+#: The refresh command line of the module docstring, interpolated into
+#: the doc as a value so its shell braces stay literal.
+REGENERATE_COMMAND = (
+    "PYTHONPATH=src python -m pytest benchmarks -q && "
+    "cp build/bench/BENCH_{aserta,structural,sertopt,campaign,telemetry}.json . && "
+    "python benchmarks/render_bench_tables.py"
+)
 
 HEADER = """\
 # Performance
@@ -339,7 +346,7 @@ them, copies the five JSONs to the repository root and re-renders this
 file and the README block:
 
 ```sh
-PYTHONPATH=src python -m pytest benchmarks -q && cp build/bench/BENCH_{aserta,structural,sertopt,campaign,telemetry}.json . && python benchmarks/render_bench_tables.py
+{REGENERATE_COMMAND}
 ```
 
 CI runs `python benchmarks/render_bench_tables.py --check`.

@@ -42,9 +42,13 @@ BENCH_NAME = "BENCH_campaign.json"
 #: Acceptance floor for the resident-pool regime: parallel wall time at
 #: 2 workers must beat serial-cold by at least this factor.  The pool
 #: serves the grid from warmed artifact caches (zero fault simulations),
-#: so the measured ratio is an order of magnitude above this — the
-#: generous floor keeps the gate wall-clock-tolerant on noisy shared
-#: runners while still catching the 0.56x regression class outright.
+#: but the workers, forked before any table exists, build their
+#: characterization tables in the first parallel run.  Since tables
+#: build in one array pass, serial cold is no longer mostly table
+#: building, and the ratio sits near this floor: in 12 standalone runs
+#: on a 2-vCPU VM the first attempt read 0.87-1.76x (median 1.09x) and
+#: the retry 1.42-1.90x.  The floor still catches the 0.56x regression
+#: class outright; the regime itself is due to be re-derived.
 MIN_PARALLEL_SPEEDUP = 1.15
 
 
@@ -128,8 +132,10 @@ def test_campaign_throughput(benchmark, scale, tmp_path, bench_path):
         assert sum(builds.values()) == n_groups, (builds, n_groups)
         assert set(builds) <= set(pool.worker_labels)
         # The acceptance gate: resident-pool parallel must beat serial
-        # cold.  One wall-clock retry absorbs shared-runner jitter
-        # before declaring a regression (locally the ratio is ~40x).
+        # cold.  One wall-clock retry absorbs shared-runner jitter and
+        # the workers' first-run table builds before declaring a
+        # regression (measured: first attempt 0.87-1.76x, retry
+        # 1.42-1.90x).
         if speedup < MIN_PARALLEL_SPEEDUP:
             retry_started = time.perf_counter()
             retry = CampaignRunner(

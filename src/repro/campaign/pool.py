@@ -16,8 +16,8 @@ that stack of fixed costs made 2 workers *slower* than serial (0.56×).
   :class:`~repro.engine.engine.AnalysisEngine` handle for the pool's
   ``cache_dir`` and promotes the on-disk artifact tier into memory
   (:meth:`~repro.engine.engine.AnalysisEngine.warm_start`), so the
-  first batch starts from whatever ``P_ij`` matrices and stacked LUT
-  tensors earlier runs already paid for.
+  first batch starts from whatever ``P_ij`` matrices earlier runs
+  already paid for.
 * **Dynamic stealing**: batches go onto one shared queue; a worker that
   finishes early steals the next batch instead of idling behind a
   static round-robin assignment.  Per-batch ``steal_wait_ns`` records

@@ -491,7 +491,7 @@ class CampaignRunner:
                 ]
                 skipped = len(keys) - len(pending)
 
-                cpus = os.cpu_count() or 1
+                cpus = _usable_cpus()
                 workers = (
                     self.max_workers if self.max_workers is not None else cpus
                 )
@@ -727,3 +727,12 @@ def _dispatchable(batches: Sequence[tuple]) -> bool:
     except Exception:
         return False
     return True
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset``, a container cpuset), which
+    ``os.cpu_count()`` ignores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -166,11 +166,10 @@ class CampaignSpec:
     #: Route electrical queries through the interpolated look-up tables.
     use_tables: bool = True
     #: Directory for the engine's on-disk compiled-artifact cache
-    #: (``P_ij`` matrices, stacked LUT tensors).  ``None`` keeps the
-    #: cache in-memory per worker.  Execution configuration only: it
-    #: never enters scenario digests, so pointing an existing campaign
-    #: at a cache directory cannot invalidate (or be confused with) its
-    #: result store.
+    #: (``P_ij`` matrices).  ``None`` keeps the cache in-memory per
+    #: worker.  Execution configuration only: it never enters scenario
+    #: digests, so pointing an existing campaign at a cache directory
+    #: cannot invalidate (or be confused with) its result store.
     cache_dir: str | None = None
     #: Optional :class:`repro.telemetry.Telemetry` handle the runner
     #: records campaign spans and metrics into (workers ship their span

@@ -2,9 +2,9 @@
 
 Every expensive derived structure the engine manages — dense ``P_ij``
 matrices, :class:`~repro.core.masking.MaskingStructure` instances,
-compiled structural schedules, stacked LUT tensors — is identified by a
-*content-addressed* key: a SHA-256 digest over the complete set of
-inputs that determine the artifact, prefixed with a schema version.
+compiled structural schedules — is identified by a *content-addressed*
+key: a SHA-256 digest over the complete set of inputs that determine
+the artifact, prefixed with a schema version.
 Identical inputs always map to the same key (so a warm cache can serve
 the artifact without recomputing it); any change to the netlist, the
 estimation protocol, or the serialization layout changes the key (so a
@@ -33,7 +33,6 @@ ARTIFACT_SCHEMA = 1
 KIND_P_MATRIX = "p_matrix"
 KIND_STRUCTURE = "masking_structure"
 KIND_COMPILED = "compiled_structural"
-KIND_STACKED_LUT = "stacked_lut"
 
 
 def canonical_json(payload: Any) -> str:
@@ -97,17 +96,3 @@ def compiled_key(circuit: Circuit) -> str:
     masks)."""
     return artifact_key(KIND_COMPILED, circuit=circuit_digest(circuit))
 
-
-def stacked_lut_key(axes_digest: str, kind: str, pairs: tuple) -> str:
-    """Key of one stacked characterization tensor.
-
-    ``axes_digest`` fingerprints the table grids
-    (:meth:`repro.tech.table_builder.TechnologyTables.axes_digest`);
-    ``pairs`` is the ``(gate type, fan-in)`` leading axis.
-    """
-    return artifact_key(
-        KIND_STACKED_LUT,
-        axes=axes_digest,
-        table=kind,
-        pairs=[[gtype.value, int(fanin)] for gtype, fanin in pairs],
-    )

@@ -4,10 +4,9 @@ The cache maps the keys of :mod:`repro.engine.artifacts` to compiled
 artifacts.  Two tiers cooperate:
 
 * an **in-process LRU** holding live Python objects (``IndexedCircuit``,
-  ``MaskingStructure``, compiled schedules, stacked tensors) — this is
-  what makes a warm ``AsertaAnalyzer`` construction skip the structural
-  pass inside one process (an analyzer, a campaign worker, a SERTOPT
-  inner loop);
+  ``MaskingStructure``, compiled schedules) — this is what makes a warm
+  ``AsertaAnalyzer`` construction skip the structural pass inside one
+  process (an analyzer, a campaign worker, a SERTOPT inner loop);
 * an optional **on-disk store** for array-valued artifacts (``npz``
   files with a JSON metadata header under ``cache_dir``), which lets a
   *new* process — a resumed campaign, a fresh CLI invocation — start

@@ -13,9 +13,7 @@ needs:
   :func:`~repro.engine.structural.structural_matrix_event` is its
   oracle, called directly by the tests);
 * the assignment-independent Equation-2 masking structure, with its
-  compiled Section-3.2 sweep plan;
-* stacked LUT value tensors, pre-warmed into a
-  :class:`~repro.tech.table_builder.TechnologyTables` instance.
+  compiled Section-3.2 sweep plan.
 
 One process-wide default engine (:func:`get_default_engine`) backs
 every ``AsertaAnalyzer`` that is not handed an explicit engine, which
@@ -58,11 +56,11 @@ class AnalysisEngine:
 
     Analyzers, campaigns and SERTOPT runs that share one engine share
     every sizing-invariant compiled artifact — ``P_ij`` matrices,
-    Equation-2 masking structures, compiled structural schedules and
-    stacked LUT tensors — keyed by netlist content digest plus the
-    estimation protocol.  Pass ``cache_dir`` (a directory path) to add
-    a persistent on-disk ``npz`` tier shared across processes, and
-    ``max_disk_bytes`` to bound it with LRU-by-mtime eviction.
+    Equation-2 masking structures and compiled structural schedules —
+    keyed by netlist content digest plus the estimation protocol.  Pass
+    ``cache_dir`` (a directory path) to add a persistent on-disk ``npz``
+    tier shared across processes, and ``max_disk_bytes`` to bound it
+    with LRU-by-mtime eviction.
     Counters (:attr:`structural_sim_runs`, ``stats``) expose how much
     real simulation work the engine has done versus served from cache.
     Pass ``telemetry`` (a :class:`repro.telemetry.Telemetry`) to record
@@ -238,36 +236,21 @@ class AnalysisEngine:
     def warm_stacked_tables(
         self, tables: "TechnologyTables", pairs: tuple
     ) -> None:
-        """Pre-populate the stacked LUT tensors for one gate population.
-
-        On a cache hit (including the disk tier) the tensors are adopted
-        into ``tables`` without evaluating a single grid point; on a
-        miss they are built once and stored for the next process.
-        """
-        if not pairs:
-            return
-        axes = tables.axes_digest()
-
-        def build_stack(kind: str) -> dict[str, np.ndarray]:
-            with self.telemetry.span("engine.stacked_lut.build", kind=kind):
-                return {"values": tables.stacked_values(kind, pairs)}
-
-        for kind in _STACKED_KINDS:
-            key = artifacts.stacked_lut_key(axes, kind, pairs)
-            stacked = self.cache.get_or_build_arrays(
-                key, lambda kind=kind: build_stack(kind)
-            )["values"]
-            tables.adopt_stack(kind, pairs, stacked)
+        """Build the stacked LUT tensors of one gate population into
+        ``tables`` (in memory; building them is one array pass per
+        table, so nothing is persisted)."""
+        if pairs:
+            for kind in _STACKED_KINDS:
+                tables.stacked_values(kind, pairs)
 
     def warm_start(self) -> int:
         """Adopt whatever the on-disk artifact tier already holds.
 
         Called by pooled campaign workers during spin-up so that the
-        ``P_ij`` matrices and stacked LUT tensors written by earlier
-        runs (or by a sibling worker) are memory hits before the first
-        batch arrives — the cross-process warm handoff.  A no-op for
-        engines without a disk tier.  Returns the number of artifacts
-        promoted into memory.
+        ``P_ij`` matrices written by earlier runs (or by a sibling
+        worker) are memory hits before the first batch arrives — the
+        cross-process warm handoff.  A no-op for engines without a disk
+        tier.  Returns the number of artifacts promoted into memory.
         """
         with self.telemetry.span("engine.warm_start"):
             return self.cache.preload_disk()

@@ -42,7 +42,6 @@ from repro.tech.glitch import generated_width_ps
 from repro.tech.library import ParameterAssignment
 from repro.tech.lut import bracket_queries, stacked_lookup
 from repro.tech.table_builder import TechnologyTables, default_tables
-from repro.units import PS_PER_FF_V_PER_UA
 
 
 def cell_param_arrays(
@@ -209,9 +208,8 @@ def batched_electrical_arrays(
         [float(ge.transistor_count(gtype, fanin)) for gtype, fanin in pairs]
     )
     gid_rows = idx.group_id[rows]
-    width_nm = size[:, rows] * k.WIDTH_PER_SIZE_NM
     node_cap[:, rows] = (
-        k.DRAIN_CAP_PER_NM_FF * width_nm * self_cap_factors[gid_rows]
+        ge.self_capacitance_array(size[:, rows], self_cap_factors[gid_rows])
         + load[:, rows]
     )
     area[:, rows] = (
@@ -251,39 +249,25 @@ def continuous_delay_arrays(
     batched repair decisions identical to the serial path's.
     """
     idx = circuit.indexed()
-    size = np.asarray(params["size"], dtype=np.float64)
-    length = np.asarray(params["length_nm"], dtype=np.float64)
-    vdd = np.asarray(params["vdd"], dtype=np.float64)
-    vth = np.asarray(params["vth"], dtype=np.float64)
-    n_lanes, n = size.shape
     rows = idx.gate_rows
+    size, length, vdd, vth = (
+        np.asarray(params[field], dtype=np.float64)[:, rows]
+        for field in ("size", "length_nm", "vdd", "vth")
+    )
+    n_lanes, n = size.shape[0], idx.n_signals
     pairs = idx.group_pairs
     gid_rows = idx.group_id[rows]
     icf = np.array([ge.input_cap_factor(g, f) for g, f in pairs])
     scf = np.array([ge.self_cap_factor(g, f) for g, f in pairs])
     div = np.array([ge.drive_divisor(g, f) for g, f in pairs])
 
-    width_nm = size[:, rows] * k.WIDTH_PER_SIZE_NM
     input_cap = np.zeros((n_lanes, n))
-    input_cap[:, rows] = (
-        k.GATE_CAP_PER_NM_FF
-        * width_nm
-        * (length[:, rows] / k.NOMINAL_LENGTH_NM)
-        * icf[gid_rows]
-    )
+    input_cap[:, rows] = ge.input_capacitance_array(size, length, icf[gid_rows])
     load = _population_loads(idx, input_cap)
 
-    current = (
-        k.CURRENT_SCALE_UA
-        * (width_nm / length[:, rows])
-        * (vdd[:, rows] - vth[:, rows]) ** k.ALPHA
-        / div[gid_rows]
-    )
-    self_cap = k.DRAIN_CAP_PER_NM_FF * width_nm * scf[gid_rows]
-    total_cap = self_cap + load[:, rows]
-    step = (
-        PS_PER_FF_V_PER_UA * total_cap * vdd[:, rows] / (2.0 * current)
-    )
+    current = ge.drive_current_array(size, length, vdd, vth, div[gid_rows])
+    total_cap = ge.self_capacitance_array(size, scf[gid_rows]) + load[:, rows]
+    step = ge.step_delay_array(total_cap, vdd, current)
     out_ramp = np.full((n_lanes, n), k.PRIMARY_INPUT_RAMP_PS)
     out_ramp[:, rows] = k.RAMP_OF_DELAY * step
     ramp_in = _population_input_ramps(idx, out_ramp)

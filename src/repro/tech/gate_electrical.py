@@ -3,29 +3,28 @@
 Single-stage CMOS gate model on top of :mod:`repro.tech.mosfet`, with
 logical-effort-style corrections for gate type and fan-in (series device
 stacks weaken drive; wider input structures add capacitance).  These are
-the functions the table builder samples — the "SPICE runs" of this
-reproduction — and the transient reference simulator calls directly.
+the "SPICE runs" of this reproduction, which the transient reference
+simulator calls directly.
+
+Each ``*_array`` function is the array twin of the scalar function
+above it: the same operations in the same order over broadcast arrays,
+so every element is bit-identical to the scalar call, which is its
+oracle.  The table builder and the continuous population model use
+them.  Twins take the gate type's factor (:func:`drive_divisor`,
+:func:`input_cap_factor`, :func:`self_cap_factor`) instead of
+``(gtype, fanin)``, so one call can mix gate types, and they do not
+validate their inputs.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.circuit.gate import GateType
 from repro.errors import TechnologyError
 from repro.tech import constants as k
 from repro.tech import mosfet
 from repro.units import PS_PER_FF_V_PER_UA
-
-#: Version of the continuous gate model (these functions plus the
-#: underlying :mod:`repro.tech.mosfet` equations and constants).  The
-#: characterization tables are a pure function of (model version,
-#: sample grids), and the engine's content-addressed cache keys stacked
-#: LUT tensors by both — bump this whenever a change to the electrical
-#: equations alters any sampled value, or persistent cache directories
-#: would keep serving tensors computed with the old model.
-#: Version 2: drive currents evaluate the alpha-power term through
-#: ``np.power`` (ulp-level shifts versus libm ``pow``) so the scalar
-#: and batched continuous models agree bitwise.
-GATE_MODEL_VERSION = 2
 
 
 def drive_divisor(gtype: GateType, fanin: int) -> float:
@@ -101,6 +100,18 @@ def drive_current_ua(
     )
 
 
+def drive_current_array(size, length_nm, vdd, vth, divisor):
+    """Array twin of :func:`drive_current_ua` (``divisor`` is
+    :func:`drive_divisor`); ``nan`` where ``vdd < vth``."""
+    width = size * k.WIDTH_PER_SIZE_NM
+    return (
+        k.CURRENT_SCALE_UA
+        * (width / length_nm)
+        * np.power(vdd - vth, k.ALPHA)
+        / divisor
+    )
+
+
 def input_capacitance_ff(
     gtype: GateType, fanin: int, size: float, length_nm: float
 ) -> float:
@@ -111,12 +122,28 @@ def input_capacitance_ff(
     )
 
 
+def input_capacitance_array(size, length_nm, factor):
+    """Array twin of :func:`input_capacitance_ff` (``factor`` is
+    :func:`input_cap_factor`)."""
+    width = size * k.WIDTH_PER_SIZE_NM
+    return (
+        k.GATE_CAP_PER_NM_FF * width * (length_nm / k.NOMINAL_LENGTH_NM) * factor
+    )
+
+
 def self_capacitance_ff(
     gtype: GateType, fanin: int, size: float
 ) -> float:
     """Parasitic capacitance the gate contributes to its own output, fF."""
     width = mosfet.size_to_width_nm(size)
     return mosfet.drain_capacitance_ff(width) * self_cap_factor(gtype, fanin)
+
+
+def self_capacitance_array(size, factor):
+    """Array twin of :func:`self_capacitance_ff` (``factor`` is
+    :func:`self_cap_factor`)."""
+    width = size * k.WIDTH_PER_SIZE_NM
+    return k.DRAIN_CAP_PER_NM_FF * width * factor
 
 
 def propagation_delay_ps(
@@ -143,6 +170,13 @@ def propagation_delay_ps(
     total_cap = self_capacitance_ff(gtype, fanin, size) + load_ff
     step = PS_PER_FF_V_PER_UA * total_cap * vdd / (2.0 * current)
     return step + k.RAMP_DELAY_FRACTION * input_ramp_ps
+
+
+def step_delay_array(total_cap_ff, vdd, current_ua):
+    """Array twin of :func:`propagation_delay_ps`'s step-input term: the
+    time ``current_ua`` takes to move ``total_cap_ff`` across half the
+    supply, ps."""
+    return PS_PER_FF_V_PER_UA * total_cap_ff * vdd / (2.0 * current_ua)
 
 
 def output_ramp_ps(

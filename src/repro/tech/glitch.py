@@ -113,3 +113,20 @@ def generated_width_ps(
     excess = charge_fc - critical
     removal_ps = PS_PER_FF_V_PER_UA * excess / restore_current_ua
     return k.STRIKE_TAU_PS + k.SET_WIDTH_SCALE_PS * removal_ps**k.SET_SATURATION_EXPONENT
+
+
+def generated_width_array(charge_fc, node_capacitance_ff, restore_current_ua, vdd):
+    """Array twin of :func:`generated_width_ps`: 0 at or below the
+    critical charge.  No validation: callers pass physical values.
+
+    The saturation power goes through ``np.float_power``, which matches
+    the scalar's Python ``**`` bit for bit; ``np.power`` does not (it
+    is up to 2 ulp off on some inputs).
+    """
+    critical = node_capacitance_ff * vdd / 2.0
+    removal_ps = PS_PER_FF_V_PER_UA * (charge_fc - critical) / restore_current_ua
+    upset = charge_fc > critical
+    width = k.STRIKE_TAU_PS + k.SET_WIDTH_SCALE_PS * np.float_power(
+        np.where(upset, removal_ps, 0.0), k.SET_SATURATION_EXPONENT
+    )
+    return np.where(upset, width, 0.0)

@@ -8,22 +8,28 @@ paper fixes one injected charge and defers a charge axis to future work;
 this implementation includes the charge axis (exercised by the ABL-Q
 extension experiment) while defaulting to the fixed 16 fC the paper uses.
 
-Tables are built lazily per ``(gate type, fan-in)`` and cached.
+Tables are built lazily per ``(gate type, fan-in)`` and kept for the
+life of the instance.  Each is one NumPy evaluation of the array twins
+in :mod:`repro.tech.gate_electrical` over the ``ij`` meshgrid of its
+axes; every cell is bit-identical to the scalar model function at that
+grid point, which is the tables' oracle.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
 from repro.circuit.gate import GateType
-from repro.errors import TableError
+from repro.errors import TableError, TechnologyError
 from repro.tech import constants as k
 from repro.tech import gate_electrical as ge
-from repro.tech.glitch import generated_width_ps
+from repro.tech.glitch import generated_width_array
 from repro.tech.library import CellParams
 from repro.tech.lut import GridTable
+from repro.units import THERMAL_VOLTAGE_V
 
 DEFAULT_SIZE_GRID: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0)
 DEFAULT_LENGTH_GRID: tuple[float, ...] = (70.0, 100.0, 150.0, 250.0, 300.0)
@@ -32,6 +38,9 @@ DEFAULT_VTH_GRID: tuple[float, ...] = (0.1, 0.2, 0.3, 0.35)
 DEFAULT_LOAD_GRID: tuple[float, ...] = (0.1, 0.3, 0.8, 2.0, 5.0, 12.0, 30.0, 80.0)
 DEFAULT_RAMP_GRID: tuple[float, ...] = (5.0, 20.0, 60.0)
 DEFAULT_CHARGE_GRID: tuple[float, ...] = (0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: The four cell axes every switching table starts with.
+_CELL = ("size", "length", "vdd", "vth")
 
 
 class TechnologyTables:
@@ -71,6 +80,30 @@ class TechnologyTables:
         ):
             if len(axis) == 0 or any(b <= a for a, b in zip(axis, axis[1:])):
                 raise TableError(f"grid {axis_name!r} must be strictly increasing")
+        # The array build does not validate per cell, so a non-physical
+        # grid is refused here, with the error the scalar model raises.
+        for axis_name, lowest, positive in (
+            ("sizes", self.sizes[0], True),
+            ("lengths_nm", self.lengths_nm[0], True),
+            ("vths", self.vths[0], False),
+            ("loads_ff", self.loads_ff[0], False),
+            ("ramps_ps", self.ramps_ps[0], False),
+            ("charges_fc", self.charges_fc[0], False),
+        ):
+            if lowest <= 0.0 if positive else lowest < 0.0:
+                bound = "positive" if positive else "non-negative"
+                raise TechnologyError(
+                    f"grid {axis_name!r} must be {bound}, got {lowest}"
+                )
+        self._grids = {
+            "size": self.sizes,
+            "length": self.lengths_nm,
+            "vdd": self.vdds,
+            "vth": self.vths,
+            "load": self.loads_ff,
+            "ramp": self.ramps_ps,
+            "charge": self.charges_fc,
+        }
         self._cache: dict[tuple[str, GateType, int], GridTable] = {}
         self._stack_cache: dict[tuple, np.ndarray] = {}
 
@@ -78,20 +111,14 @@ class TechnologyTables:
     # Table construction
     # ------------------------------------------------------------------
 
-    def _cell_axes(self) -> list[tuple[str, tuple[float, ...]]]:
-        return [
-            ("size", self.sizes),
-            ("length", self.lengths_nm),
-            ("vdd", self.vdds),
-            ("vth", self.vths),
-        ]
-
     def _get(self, kind: str, gtype: GateType, fanin: int) -> GridTable:
         key = (kind, gtype, fanin)
         table = self._cache.get(key)
         if table is None:
-            builder = getattr(self, f"_build_{kind}")
-            table = builder(gtype, fanin)
+            # Cells with vdd <= vth cannot switch: their current is nan
+            # or 0, and each builder replaces them with inf.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                table = getattr(self, f"_build_{kind}")(gtype, fanin)
             self._cache[key] = table
         return table
 
@@ -105,7 +132,8 @@ class TechnologyTables:
         a per-gate table id — the shape
         :func:`~repro.tech.lut.stacked_lookup` consumes.  Cached per
         ``(kind, pairs)``; circuits sharing gate populations share the
-        stack.
+        stack, so it is read-only: a write by one consumer would corrupt
+        every other.
         """
         key = (kind, pairs)
         stack = self._stack_cache.get(key)
@@ -113,124 +141,82 @@ class TechnologyTables:
             stack = np.stack(
                 [self._get(kind, gtype, fanin).values for gtype, fanin in pairs]
             )
+            stack.setflags(write=False)
             self._stack_cache[key] = stack
         return stack
 
-    def axes_digest(self) -> str:
-        """Stable content hash of the seven sample grids plus the gate
-        model version.
-
-        The table *values* are a pure function of
-        :data:`repro.tech.gate_electrical.GATE_MODEL_VERSION` and the
-        grids, so together they identify a tensor completely — this is
-        the fingerprint the engine's content-addressed artifact cache
-        keys stacked tensors by (an edited electrical model bumps the
-        version, so a persistent cache can never serve stale tensors).
-        """
-        import hashlib
-        import json
-
-        payload = json.dumps(
-            [
-                ge.GATE_MODEL_VERSION,
-                list(self.sizes),
-                list(self.lengths_nm),
-                list(self.vdds),
-                list(self.vths),
-                list(self.loads_ff),
-                list(self.ramps_ps),
-                list(self.charges_fc),
-            ],
-            separators=(",", ":"),
+    def _mesh(self, *names: str) -> tuple[list, list[np.ndarray]]:
+        """The named axes and their ``ij`` meshgrid, one array per axis."""
+        axes = [(name, self._grids[name]) for name in names]
+        grids = np.meshgrid(
+            *(np.array(grid, dtype=np.float64) for __, grid in axes),
+            indexing="ij",
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return axes, grids
 
-    def adopt_stack(
-        self,
-        kind: str,
-        pairs: tuple[tuple[GateType, int], ...],
-        values: np.ndarray,
-    ) -> None:
-        """Install a precomputed stacked tensor (cache warm-up).
-
-        Used by :meth:`repro.engine.engine.AnalysisEngine.warm_stacked_tables`
-        to seed the per-instance stack cache from the artifact store so
-        a warm process never evaluates the characterization grids.  An
-        already-present stack is left untouched.
-        """
-        self._stack_cache.setdefault((kind, pairs), np.asarray(values))
+    @staticmethod
+    def _node(gtype, fanin, size, length, vdd, vth, load):
+        """Output-node capacitance and drive current over a mesh."""
+        node_cap = (
+            ge.self_capacitance_array(size, ge.self_cap_factor(gtype, fanin))
+            + load
+        )
+        current = ge.drive_current_array(
+            size, length, vdd, vth, ge.drive_divisor(gtype, fanin)
+        )
+        return node_cap, current
 
     def _build_delay(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes() + [("load", self.loads_ff), ("ramp", self.ramps_ps)]
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth, load, ramp = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            values[index] = ge.propagation_delay_ps(
-                gtype, fanin, size, length, vdd, vth, load, ramp
-            )
-        return GridTable(axes, values)
+        axes, (size, length, vdd, vth, load, ramp) = self._mesh(
+            *_CELL, "load", "ramp"
+        )
+        node_cap, current = self._node(gtype, fanin, size, length, vdd, vth, load)
+        step = ge.step_delay_array(node_cap, vdd, current)
+        delay = step + k.RAMP_DELAY_FRACTION * ramp
+        return GridTable(axes, np.where(vdd > vth, delay, np.inf))
 
     def _build_ramp(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes() + [("load", self.loads_ff)]
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth, load = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            values[index] = ge.output_ramp_ps(gtype, fanin, size, length, vdd, vth, load)
-        return GridTable(axes, values)
+        axes, (size, length, vdd, vth, load) = self._mesh(*_CELL, "load")
+        node_cap, current = self._node(gtype, fanin, size, length, vdd, vth, load)
+        step = ge.step_delay_array(node_cap, vdd, current)
+        return GridTable(axes, np.where(vdd > vth, k.RAMP_OF_DELAY * step, np.inf))
 
     def _build_glitch(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes() + [
-            ("load", self.loads_ff),
-            ("charge", self.charges_fc),
-        ]
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth, load, charge = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            node_cap = ge.self_capacitance_ff(gtype, fanin, size) + load
-            current = ge.drive_current_ua(gtype, fanin, size, length, vdd, vth)
-            values[index] = generated_width_ps(charge, node_cap, current, vdd)
-        return GridTable(axes, values)
+        axes, (size, length, vdd, vth, load, charge) = self._mesh(
+            *_CELL, "load", "charge"
+        )
+        node_cap, current = self._node(gtype, fanin, size, length, vdd, vth, load)
+        width = generated_width_array(charge, node_cap, current, vdd)
+        return GridTable(axes, np.where(vdd > vth, width, np.inf))
 
     def _build_input_cap(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = [("size", self.sizes), ("length", self.lengths_nm)]
-        values = np.empty((len(self.sizes), len(self.lengths_nm)))
-        for i, size in enumerate(self.sizes):
-            for j, length in enumerate(self.lengths_nm):
-                values[i, j] = ge.input_capacitance_ff(gtype, fanin, size, length)
-        return GridTable(axes, values)
+        axes, (size, length) = self._mesh("size", "length")
+        factor = ge.input_cap_factor(gtype, fanin)
+        return GridTable(axes, ge.input_capacitance_array(size, length, factor))
 
     def _build_static_power(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes()
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            values[index] = ge.static_power_uw(gtype, fanin, size, length, vdd, vth)
-        return GridTable(axes, values)
+        axes, (size, length, vdd, vth) = self._mesh(*_CELL)
+        # One math.exp per Vth grid point, as the scalar leakage model
+        # evaluates it (np.exp's vectorized loop need not match libm to
+        # the last ulp); Vth is the last axis, so it broadcasts.
+        leak = np.array(
+            [
+                math.exp(-v / (k.SUBTHRESHOLD_N * THERMAL_VOLTAGE_V))
+                for v in self.vths
+            ]
+        )
+        stacks = max(1.0, ge.transistor_count(gtype, fanin) / 4.0)
+        width = size * k.WIDTH_PER_SIZE_NM
+        power = k.LEAKAGE_SCALE_UA * (width / length) * leak * stacks * vdd
+        return GridTable(axes, np.where(vdd > vth, power, np.inf))
 
     def _build_dynamic_energy(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = [("size", self.sizes), ("load", self.loads_ff), ("vdd", self.vdds)]
-        values = np.empty((len(self.sizes), len(self.loads_ff), len(self.vdds)))
-        for i, size in enumerate(self.sizes):
-            for j, load in enumerate(self.loads_ff):
-                for m, vdd in enumerate(self.vdds):
-                    values[i, j, m] = ge.dynamic_energy_fj(gtype, fanin, size, load, vdd)
-        return GridTable(axes, values)
+        axes, (size, load, vdd) = self._mesh("size", "load", "vdd")
+        total_cap = (
+            ge.self_capacitance_array(size, ge.self_cap_factor(gtype, fanin))
+            + load
+        )
+        return GridTable(axes, total_cap * vdd * vdd)
 
     # ------------------------------------------------------------------
     # Interpolated queries (the ASERTA-facing API)
@@ -307,23 +293,12 @@ class TechnologyTables:
         return len(self._cache)
 
 
-def _grid_points(axes):
-    """Iterate ``(multi_index, coordinate_tuple)`` over a grid."""
-    grids = [grid for __, grid in axes]
-    shape = tuple(len(grid) for grid in grids)
-    indices = (range(n) for n in shape)
-    from itertools import product as _product
-
-    for index in _product(*indices):
-        yield index, tuple(grids[d][index[d]] for d in range(len(grids)))
-
-
 _DEFAULT_TABLES: TechnologyTables | None = None
 
 
 def default_tables() -> TechnologyTables:
-    """Process-wide shared table cache (building tables is the expensive
-    step; every analysis in one process should reuse one instance)."""
+    """Process-wide shared table cache: every analysis in one process
+    reuses one instance and the stacks it has built."""
     global _DEFAULT_TABLES
     if _DEFAULT_TABLES is None:
         _DEFAULT_TABLES = TechnologyTables()
@@ -334,7 +309,7 @@ def reset_default_tables() -> TechnologyTables | None:
     """Drop the shared table singleton; returns the previous instance.
 
     The singleton accumulates lazily built :class:`GridTable` objects
-    and adopted LUT stacks for the life of the process, so anything
+    and their stacked tensors for the life of the process, so anything
     measuring a *cold* analysis (the campaign throughput benchmark, a
     profiling session) must reset it or the measurement silently rides
     whatever earlier analyses in the same process already paid for.

@@ -2,7 +2,8 @@
 
 Every fast path in the repo is gated by a differential against its slow
 reference: the vectorized masking sweep against the dict walk, the
-fused sweep plan against the unfused per-level loop, the batched
+fused sweep plan against the unfused per-level loop, the
+characterization tables against the scalar gate model, the batched
 structural estimator against the event-driven one, the
 level-batched matcher against the scalar per-gate ``match``, and the
 population SERTOPT objective against the same search run one candidate
@@ -26,6 +27,7 @@ under pytest's rootdir import mode).
 from __future__ import annotations
 
 import gc
+import itertools
 import time
 
 import numpy as np
@@ -51,6 +53,8 @@ from repro.tech.electrical_view import (
     batched_electrical_arrays,
     stack_cell_param_arrays,
 )
+from repro.tech import gate_electrical as ge
+from repro.tech.glitch import generated_width_ps
 from repro.tech.library import CellParams, ParameterAssignment
 
 #: Reassociation noise bound for comparisons that cross a float
@@ -234,6 +238,72 @@ def assert_reports_agree(arrays_report, reference_report, rtol=RTOL) -> None:
         assert set(got.widths_by_output) == set(entry.widths_by_output)
         assert got.contribution == pytest.approx(
             entry.contribution, rel=rtol, abs=1e-15
+        )
+
+
+# ---------------------------------------------------------------------------
+# Characterization tables: one array pass per table vs. the scalar model
+# ---------------------------------------------------------------------------
+
+
+def conformance_gate_pairs() -> list[tuple]:
+    """Every ``(gate type, fan-in)`` pair of the conformance circuits,
+    in a stable order."""
+    pairs = set()
+    for name in CONFORMANCE_CIRCUITS:
+        pairs.update(conformance_circuit(name).indexed().group_pairs)
+    return sorted(pairs, key=lambda pair: (pair[0].value, pair[1]))
+
+
+def assert_tables_match_model(tables, gtype, fanin) -> None:
+    """Every cell of the six tables of one ``(gate type, fan-in)`` pair
+    against the scalar gate model at that grid point, bit for bit.
+
+    The model is called once per grid point on the grids' own values,
+    with ``inf`` where the gate cannot switch (``vdd <= vth``).
+    """
+
+    def switching(model):
+        def cell(size, length, vdd, vth, *rest):
+            if vdd <= vth:
+                return np.inf
+            return model(gtype, fanin, size, length, vdd, vth, *rest)
+
+        return cell
+
+    def glitch(gtype, fanin, size, length, vdd, vth, load, charge):
+        node_cap = ge.self_capacitance_ff(gtype, fanin, size) + load
+        current = ge.drive_current_ua(gtype, fanin, size, length, vdd, vth)
+        return generated_width_ps(charge, node_cap, current, vdd)
+
+    models = {
+        "delay": switching(ge.propagation_delay_ps),
+        "ramp": switching(ge.output_ramp_ps),
+        "glitch": switching(glitch),
+        "static_power": switching(ge.static_power_uw),
+        "input_cap": lambda *point: ge.input_capacitance_ff(gtype, fanin, *point),
+        "dynamic_energy": lambda *point: ge.dynamic_energy_fj(gtype, fanin, *point),
+    }
+    grids = {
+        "size": tables.sizes,
+        "length": tables.lengths_nm,
+        "vdd": tables.vdds,
+        "vth": tables.vths,
+        "load": tables.loads_ff,
+        "ramp": tables.ramps_ps,
+        "charge": tables.charges_fc,
+    }
+    for kind, model in models.items():
+        table = tables._get(kind, gtype, fanin)
+        axes = [grids[name] for name in table.axis_names]
+        want = np.empty(tuple(len(axis) for axis in axes))
+        for index in itertools.product(*(range(len(axis)) for axis in axes)):
+            want[index] = model(*(axis[i] for axis, i in zip(axes, index)))
+        got = tables.stacked_values(kind, ((gtype, fanin),))[0]
+        np.testing.assert_array_equal(
+            got.view(np.uint64),
+            want.view(np.uint64),
+            err_msg=f"{kind} table of {gtype.value}{fanin}",
         )
 
 

@@ -9,6 +9,9 @@ re-asserted here through one shared harness (:mod:`conformance`):
   bitwise;
 * **engine** — ``analyze(engine="array")`` against the scalar
   reference walk (small circuits: the dict walk is the slow seed path);
+* **tables** — every cell of the six characterization table kinds,
+  on every gate pair of the matrix, against the scalar gate model at
+  that grid point, bitwise;
 * **structural** — the analyzer's ``P_ij`` (the live-pair kernel
   behind the artifact cache) against the event-driven oracle
   ``structural_matrix_event``, and the totals an analyzer computes
@@ -29,14 +32,19 @@ from conformance import (
     assert_fused_sweep_conforms_single,
     assert_lanes_match_scalar,
     assert_reports_agree,
+    assert_tables_match_model,
     conformance_circuit,
+    conformance_gate_pairs,
     mixed_assignment,
     mixed_assignments,
 )
+from repro.circuit.gate import GateType
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
 from repro.core.matching import MatchingEngine
 from repro.engine import AnalysisEngine, p_matrix_key, structural_matrix_event
+from repro.engine.artifacts import KIND_COMPILED, KIND_P_MATRIX, KIND_STRUCTURE
 from repro.tech.library import CellLibrary
+from repro.tech.table_builder import TechnologyTables
 
 N_VECTORS = 64
 SEED = 7
@@ -92,6 +100,50 @@ class TestEngineAxis:
             analyzer.analyze(assignment, engine="array"),
             analyzer.analyze(assignment, engine="reference"),
         )
+
+
+class TestTablesAxis:
+    """Characterization tables vs. the scalar gate model, their oracle."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return TechnologyTables()
+
+    @pytest.mark.parametrize(
+        "pair", conformance_gate_pairs(), ids=lambda p: f"{p[0].value}{p[1]}"
+    )
+    def test_every_cell_bitwise(self, pair, tables):
+        assert_tables_match_model(tables, *pair)
+
+    def test_non_switching_cells_bitwise(self):
+        """The default grids have no cell with ``vdd <= vth``; these do
+        (equal and below), and those cells are ``inf`` in every table."""
+        tables = TechnologyTables(vdds=(0.2, 0.6, 1.0), vths=(0.1, 0.2, 0.3))
+        assert_tables_match_model(tables, GateType.NAND, 2)
+
+    def test_stacks_read_only_and_never_persisted(self, tmp_path):
+        """Stacks are shared by aliasing, so they refuse writes; and an
+        analyzer build caches no table artifact in memory or on disk."""
+        tables = TechnologyTables()
+        engine = AnalysisEngine(cache_dir=tmp_path)
+        analyzer = AsertaAnalyzer(
+            conformance_circuit("c17"),
+            AsertaConfig(n_vectors=N_VECTORS, seed=SEED),
+            tables=tables,
+            engine=engine,
+        )
+        stack = tables.stacked_values("delay", analyzer.indexed.group_pairs)
+        with pytest.raises(ValueError):
+            stack[...] = 0.0
+        assert set(engine.cache.stats.by_kind) <= {
+            KIND_P_MATRIX, KIND_STRUCTURE, KIND_COMPILED,
+        }
+        files = [path.name for path in tmp_path.rglob("*") if path.is_file()]
+        assert files
+        assert all(
+            name.startswith(f"{KIND_P_MATRIX}-") and name.endswith(".npz")
+            for name in files
+        ), files
 
 
 class TestStructuralEngineAxis:

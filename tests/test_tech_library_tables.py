@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuit.gate import GateType
-from repro.errors import LibraryError, TableError
+from repro.errors import LibraryError, TableError, TechnologyError
 from repro.tech import constants as k
 from repro.tech import gate_electrical as ge
 from repro.tech.library import (
@@ -157,3 +157,20 @@ class TestTechnologyTables:
     def test_bad_grid_rejected(self):
         with pytest.raises(TableError):
             TechnologyTables(sizes=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [
+            ("sizes", (0.0, 1.0)),
+            ("lengths_nm", (-70.0, 70.0)),
+            ("vths", (-0.1, 0.2)),
+            ("loads_ff", (-1.0, 1.0)),
+            ("ramps_ps", (-5.0, 20.0)),
+            ("charges_fc", (-2.0, 16.0)),
+        ],
+    )
+    def test_nonphysical_grid_rejected(self, axis, grid):
+        """The gate model is undefined there, and the array build would
+        fill those cells with inf/nan instead of raising."""
+        with pytest.raises(TechnologyError, match=axis):
+            TechnologyTables(**{axis: grid})

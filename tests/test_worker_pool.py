@@ -127,7 +127,9 @@ class TestResidentPool:
         """Auto mode refuses small grids because pool spin-up dominates
         them — but a resident, already-started pool has no spin-up left
         to pay, so it is used (given real CPUs to use it on)."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+        )
         spec = pool_spec()
         store = ResultStore()
         with CampaignRunner(spec, store=store, max_workers=2) as runner:
@@ -144,6 +146,25 @@ class TestResidentPool:
             runner.store = ResultStore()
             warm = runner.run()  # auto again: resident pool wins now
             assert warm.mode == "parallel"
+
+    def test_auto_mode_plans_by_affinity_not_cpu_count(self, monkeypatch):
+        """Auto mode sizes its plan by the CPUs the process may run on
+        (a ``taskset`` or container cpuset), not by every CPU of the
+        machine, so it cannot oversubscribe."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        planned = []
+        with CampaignRunner(pool_spec(), store=ResultStore()) as runner:
+            plan = runner._batches
+
+            def spy(pending, workers):
+                planned.append(workers)
+                return plan(pending, workers)
+
+            monkeypatch.setattr(runner, "_batches", spy)
+            outcome = runner.run()
+        assert planned == [1]
+        assert outcome.mode == "serial" and outcome.workers == 1
 
 
 class TestStreamingAndStats:
