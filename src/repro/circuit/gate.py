@@ -34,11 +34,6 @@ class GateType(Enum):
     XNOR = "xnor"
 
     @property
-    def is_inverting(self) -> bool:
-        """True for gates whose output inverts the ANDed/ORed term."""
-        return self in (GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR)
-
-    @property
     def min_fanin(self) -> int:
         if self is GateType.INPUT:
             return 0

@@ -39,7 +39,7 @@ from repro.core.unreliability import (
 )
 from repro.engine.engine import AnalysisEngine, get_default_engine
 from repro.engine.structural import sparse_paths_from_matrix
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TechnologyError
 from repro.logicsim.bitsim import BitParallelSimulator
 from repro.logicsim.probability import static_probabilities
 from repro.power.energy import activity_row, circuit_energy_batch
@@ -49,10 +49,10 @@ from repro.telemetry import resolve
 from repro.tech.electrical_view import (
     CircuitElectrical,
     batched_electrical_arrays,
-    cell_param_arrays,
+    continuous_electrical_arrays,
     stack_cell_param_arrays,
 )
-from repro.tech.library import CellParams, ParameterAssignment
+from repro.tech.library import ParameterAssignment
 from repro.tech.table_builder import TechnologyTables, default_tables
 
 #: Ceiling on one batch's ``(B, V, O, k+1)`` masking tensor, bytes —
@@ -260,12 +260,13 @@ class AsertaAnalyzer:
         self,
         assignment: ParameterAssignment,
         charge_fc: float | None = None,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ) -> CircuitElectrical:
         """The annotated electrical state for ``assignment``.
 
         ``charge_fc`` overrides the configured injected charge (used by
-        the charge-sweep extension without re-estimating P_ij).
+        the charge-sweep extension without re-estimating P_ij);
+        ``vectorized=False`` runs the scalar per-gate walk (the oracle).
         """
         return CircuitElectrical(
             self.circuit,
@@ -275,9 +276,6 @@ class AsertaAnalyzer:
             charge_fc=self.config.charge_fc if charge_fc is None else charge_fc,
             vectorized=vectorized,
         )
-
-    def _sizes_array(self, assignment: ParameterAssignment) -> np.ndarray:
-        return cell_param_arrays(self.indexed, assignment)["size"]
 
     def analyze(
         self,
@@ -333,14 +331,11 @@ class AsertaAnalyzer:
                 with telemetry.span("aserta.reduce"):
                     assert masking.arrays is not None
                     arrays = elec.arrays()
-                    sizes = arrays.get("size")
-                    if sizes is None:  # view built by the scalar fallback path
-                        sizes = self._sizes_array(assignment)
                     report = build_report_from_arrays(
                         self.circuit.name,
                         masking.arrays,
                         generated=arrays["generated_width_ps"],
-                        sizes=sizes,
+                        sizes=arrays["size"],
                     )
             else:
                 with telemetry.span("aserta.masking_sweep"):
@@ -400,12 +395,11 @@ class AsertaAnalyzer:
         Lane ``b`` of :attr:`AsertaBatch.totals` is bit-identical to
         ``analyze(assignment_b).total`` (the differential test suite
         pins this); delay is exactly equal, energy and area match to
-        float reassociation.
-
-        Only the array/table path is batched: with ``use_tables=False``
-        (or on gate-less circuits) this falls back to per-assignment
-        :meth:`analyze` calls, materializing each ``params`` lane as one
-        :class:`ParameterAssignment` over its gate rows.
+        float reassociation.  Both device models run this one body;
+        ``config.use_tables`` only picks the population annotation.
+        A non-physical cell on a gate row of ``params`` and a negative
+        charge raise :class:`~repro.errors.TechnologyError`, as the
+        scalar model does.
         """
         if (assignments is None) == (params is None):
             raise AnalysisError(
@@ -417,46 +411,16 @@ class AsertaAnalyzer:
         ) < 1:
             raise AnalysisError("analyze_many needs at least one candidate")
         idx = self.indexed
-        if not self.config.use_tables or not idx.group_pairs:
-            if assignments is None:
-                assignments = _assignments_from_params(idx, params)
-            reports = [
-                self.analyze(
-                    a, charge_fc=charge_fc, n_sample_widths=n_sample_widths
-                )
-                for a in assignments
-            ]
-            from repro.power.area import circuit_area
-            from repro.power.energy import circuit_energy
-            from repro.sta.timing import analyze_timing
-
-            return AsertaBatch(
-                totals=np.array([r.total for r in reports]),
-                delay_ps=np.array(
-                    [
-                        analyze_timing(
-                            self.circuit, r.electrical.delay_ps
-                        ).delay_ps
-                        for r in reports
-                    ]
-                ),
-                energy_fj=np.array(
-                    [
-                        circuit_energy(
-                            self.circuit, r.electrical, self.probabilities
-                        ).total_fj
-                        for r in reports
-                    ]
-                ),
-                area=np.array(
-                    [circuit_area(self.circuit, r.electrical) for r in reports]
-                ),
-            )
-
+        if not idx.group_pairs:
+            raise AnalysisError("circuit has no gates with positive delay")
+        charge = self.config.charge_fc if charge_fc is None else charge_fc
+        if charge < 0.0:
+            raise TechnologyError(f"charge must be >= 0, got {charge}")
         if params is None:
             params = stack_cell_param_arrays(idx, assignments)
+        else:
+            _check_cells(idx, params)
         n_lanes = params["size"].shape[0]
-        charge = self.config.charge_fc if charge_fc is None else charge_fc
         n_k = (
             self.config.n_sample_widths
             if n_sample_widths is None
@@ -482,9 +446,14 @@ class AsertaAnalyzer:
                     for field, values in params.items()
                 }
                 with telemetry.span("aserta.electrical", lanes=stop - start):
-                    arrays = batched_electrical_arrays(
-                        self.circuit, self.tables, part, charge_fc=charge
-                    )
+                    if self.config.use_tables:
+                        arrays = batched_electrical_arrays(
+                            self.circuit, self.tables, part, charge_fc=charge
+                        )
+                    else:
+                        arrays = continuous_electrical_arrays(
+                            self.circuit, part, charge_fc=charge
+                        )
                     samples = default_sample_widths_batch(
                         idx,
                         arrays["delay_ps"],
@@ -525,21 +494,24 @@ class AsertaAnalyzer:
         )
 
 
-def _assignments_from_params(idx, params: dict[str, np.ndarray]):
-    """One :class:`ParameterAssignment` per lane of ``(B, V)`` parameter
-    arrays, setting every gate row's cell (the inverse of
-    :func:`stack_cell_param_arrays` on gate rows)."""
-    names = [idx.order[row] for row in idx.gate_rows]
-    columns = [
-        params[field][:, idx.gate_rows]
+def _check_cells(idx, params: dict[str, np.ndarray]) -> None:
+    """Refuse a ``params`` lane holding, on a gate row, a cell that
+    :class:`~repro.tech.library.CellParams` would refuse (the population
+    annotations evaluate without checking)."""
+    size, length, vdd, vth = (
+        np.asarray(params[field], dtype=np.float64)
         for field in ("size", "length_nm", "vdd", "vth")
-    ]
-    return [
-        ParameterAssignment(
-            overrides={
-                name: CellParams(*(float(col[lane, pos]) for col in columns))
-                for pos, name in enumerate(names)
-            }
+    )
+    if size.ndim != 2 or size.shape[1] != idx.n_signals:
+        raise TechnologyError(
+            f"expected (B, {idx.n_signals}) parameter arrays, got {size.shape}"
         )
-        for lane in range(params["size"].shape[0])
-    ]
+    physical = (size > 0.0) & (length > 0.0) & (vth >= 0.0) & (vdd > vth)
+    bad = np.argwhere(~physical[:, idx.gate_rows])
+    if bad.size:
+        lane, row = int(bad[0, 0]), int(idx.gate_rows[bad[0, 1]])
+        cell = [float(a[lane, row]) for a in (size, length, vdd, vth)]
+        raise TechnologyError(
+            f"lane {lane}, gate {idx.order[row]!r}: non-physical cell "
+            f"(size, length_nm, vdd, vth) = {tuple(cell)}"
+        )

@@ -20,13 +20,11 @@ from repro.tech.electrical_view import (
     continuous_delay_arrays,
 )
 from repro.tech.library import CellLibrary, CellParams, NOMINAL_CELL, ParameterAssignment
-from repro.tech.table_builder import TechnologyTables
 
 
 def size_for_speed(
     circuit: Circuit,
     library: CellLibrary | None = None,
-    tables: TechnologyTables | None = None,
     max_rounds: int = 12,
 ) -> ParameterAssignment:
     """Greedy speed-oriented sizing at the nominal operating point.
@@ -39,10 +37,8 @@ def size_for_speed(
     (:func:`continuous_delay_arrays` is bitwise equal to the scalar
     ``use_tables=False`` annotation), so the sizing decisions — and the
     returned baseline — are unchanged from the original scalar loop,
-    just cheaper.  ``tables`` is accepted for signature compatibility
-    but has never influenced the result: the baseline is defined on the
-    continuous model (the original implementation also passed
-    ``use_tables=False``, which bypasses the tables entirely).
+    just cheaper.  The baseline is defined on the continuous model, so
+    no technology tables are involved.
     """
     sizes = sorted(library.sizes) if library is not None else [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
     assignment = ParameterAssignment(default=NOMINAL_CELL)

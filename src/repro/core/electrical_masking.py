@@ -181,27 +181,13 @@ class ElectricalMaskingResult:
             }
         return self._expected
 
-    def expected_width(self, gate_name: str, output_name: str) -> float:
-        if self.arrays is not None:
-            idx = self.arrays.indexed
-            row = idx.index.get(gate_name)
-            col = idx.output_col.get(output_name)
-            if row is None or col is None:
-                return 0.0
-            return float(self.arrays.expected[row, col])
-        return self.expected.get(gate_name, {}).get(output_name, 0.0)
-
 
 def _sample_width_grid(
     min_delay: float, max_delay: float, widest: float, n_samples: int
 ) -> np.ndarray:
-    """The one home of the sample-width grid formula.
-
-    Every entry point (dict view, dense arrays, candidate batches)
-    reduces its electrical state to ``(min delay, max delay, widest
-    generated glitch)`` and calls this — the grids, and therefore the
-    interpolated masking results, stay bitwise identical across paths.
-    """
+    """The one home of the sample-width grid formula: every candidate's
+    electrical state reduces to ``(min delay, max delay, widest
+    generated glitch)``, and its grid is this function of them."""
     low = max(min_delay * 0.5, 1e-3)
     high = max(2.2 * max_delay, 1.1 * widest, low * 4.0)
     return np.geomspace(low, high, n_samples)
@@ -216,32 +202,15 @@ def default_sample_widths(
     generated width, so it traverses any gate unattenuated (the Lemma-1
     regime); the bottom sample sits below the smallest delay.  Points
     are geometrically spaced, concentrating resolution where Equation 1
-    is nonlinear.
+    is nonlinear.  This is row 0 of :func:`default_sample_widths_batch`.
     """
-    if n_samples < 2:
-        raise AnalysisError(f"need at least 2 sample widths, got {n_samples}")
-    arrays = elec.native_arrays()
-    if arrays is not None:
-        # Array path: the same min/max reductions over the dense rows,
-        # without materializing the name-keyed dict views.  Gate rows
-        # only, exactly the population the dicts carry.
-        rows = elec.circuit.indexed().gate_rows
-        delay_rows = arrays["delay_ps"][rows]
-        delays_arr = delay_rows[delay_rows > 0.0]
-        if delays_arr.size == 0:
-            raise AnalysisError("circuit has no gates with positive delay")
-        width_rows = arrays["generated_width_ps"][rows]
-        widest = float(width_rows.max()) if width_rows.size else 0.0
-        return _sample_width_grid(
-            float(delays_arr.min()), float(delays_arr.max()), widest, n_samples
-        )
-    delays = [d for d in elec.delay_ps.values() if d > 0.0]
-    widths = [w for w in elec.generated_width_ps.values()]
-    if not delays:
-        raise AnalysisError("circuit has no gates with positive delay")
-    return _sample_width_grid(
-        min(delays), max(delays), max(widths, default=0.0), n_samples
-    )
+    arrays = elec.arrays()
+    return default_sample_widths_batch(
+        elec.circuit.indexed(),
+        arrays["delay_ps"][np.newaxis, :],
+        arrays["generated_width_ps"][np.newaxis, :],
+        n_samples,
+    )[0]
 
 
 def _check_samples(sample_widths: np.ndarray) -> np.ndarray:
@@ -328,9 +297,9 @@ def default_sample_widths_batch(
 ) -> np.ndarray:
     """Per-candidate ``(B, k)`` sample-width grids.
 
-    Row ``b`` equals :func:`default_sample_widths` of candidate ``b``'s
-    electrical view bitwise: the min/max reductions are exact, and each
-    row's grid comes from the same scalar ``np.geomspace`` call.
+    Row ``b`` is :func:`default_sample_widths` of candidate ``b``'s
+    electrical view: the min/max reductions are exact, and each row's
+    grid comes from its own ``np.geomspace`` call.
     """
     if n_samples < 2:
         raise AnalysisError(f"need at least 2 sample widths, got {n_samples}")

@@ -34,7 +34,7 @@ import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -168,14 +168,6 @@ class ArtifactCache:
             self.stats.evictions += 1
             self.metrics.add("engine.cache.evictions")
 
-    def get_or_build(self, key: str, build: Callable[[], Any]) -> Any:
-        """Serve ``key`` from memory or build-and-store it."""
-        entry = self.get(key)
-        if entry is None:
-            entry = build()
-            self.put(key, entry)
-        return entry
-
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
@@ -286,8 +278,9 @@ class ArtifactCache:
             self.metrics.add("engine.cache.disk_evictions")
             _LOG.debug("disk budget eviction: %s (%d bytes)", path, size)
 
-    def preload_disk(self) -> int:
-        """Promote on-disk array artifacts into the in-memory tier.
+    def preload_disk(self, kinds: Iterable[str]) -> int:
+        """Promote on-disk array artifacts of the given ``kinds`` into
+        the in-memory tier.
 
         The warm-handoff primitive for pooled campaign workers: a worker
         forked into a process that has never analyzed anything calls
@@ -295,19 +288,21 @@ class ArtifactCache:
         batch arrives (inside the pool's measured spin-up window, not a
         batch's critical path), and then serves every preloaded artifact
         as an ordinary memory hit.  Most-recently-written artifacts are
-        preloaded first so a bounded LRU keeps the hottest ones.
-        Unreadable or foreign files are skipped, exactly as in
+        preloaded first so a bounded LRU keeps the hottest ones.  Files
+        of other kinds (say, written by an older version) are left on
+        disk, and unreadable or foreign files are skipped, exactly as in
         :meth:`load_arrays`.  Returns the number of artifacts promoted.
         """
         if self.cache_dir is None:
             return 0
         version_dir = self.cache_dir / f"v{ARTIFACT_SCHEMA}"
         paths: list[tuple[float, Path]] = []
-        for path in version_dir.glob("*.npz"):
-            try:
-                paths.append((path.stat().st_mtime, path))
-            except OSError:
-                continue  # concurrently evicted
+        for kind in set(kinds):
+            for path in version_dir.glob(f"{kind}-*.npz"):
+                try:
+                    paths.append((path.stat().st_mtime, path))
+                except OSError:
+                    continue  # concurrently evicted
         paths.sort(reverse=True)  # newest first
         loaded = 0
         for __, path in paths:

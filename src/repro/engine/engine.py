@@ -250,10 +250,11 @@ class AnalysisEngine:
         ``P_ij`` matrices written by earlier runs (or by a sibling
         worker) are memory hits before the first batch arrives — the
         cross-process warm handoff.  A no-op for engines without a disk
-        tier.  Returns the number of artifacts promoted into memory.
+        tier.  Only ``P_ij`` matrices, the one kind the engine writes to
+        disk, are promoted.  Returns the number promoted into memory.
         """
         with self.telemetry.span("engine.warm_start"):
-            return self.cache.preload_disk()
+            return self.cache.preload_disk((artifacts.KIND_P_MATRIX,))
 
     def stats(self) -> dict:
         """Cache counters plus the engine's own simulation counter."""

@@ -16,17 +16,18 @@ interpolated :class:`~repro.tech.table_builder.TechnologyTables` (the
 paper's ASERTA architecture); ``use_tables=False`` evaluates the
 continuous model directly (the "SPICE" reference path).
 
-The table path runs *vectorized* by default, as lane 0 of the
-population annotation :func:`batched_electrical_arrays`: per-axis grid
-brackets are computed once for the whole gate population
+Both models run *vectorized* by default, as lane 0 of their population
+annotation: :func:`batched_electrical_arrays` computes per-axis grid
+brackets once for the whole gate population
 (:func:`repro.tech.lut.bracket_queries`), gates carry a table id from
 the circuit's :class:`~repro.circuit.indexed.IndexedCircuit` grouping,
 and each table *kind* resolves in a single gather through the stacked
 value tensor (:meth:`TechnologyTables.stacked_values` +
-:func:`repro.tech.lut.stacked_lookup`), with loads and ramps reduced
-over the CSR adjacency arrays.  ``vectorized=False`` keeps the original
-per-gate loop — the reference against which the array path is
-differential-tested and benchmarked.
+:func:`repro.tech.lut.stacked_lookup`);
+:func:`continuous_electrical_arrays` evaluates the
+:mod:`repro.tech.gate_electrical` array twins.  Both reduce loads and
+ramps over the CSR adjacency arrays.  ``vectorized=False`` keeps the
+original per-gate loop — the oracle of both models.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.circuit.netlist import Circuit
 from repro.errors import TechnologyError
 from repro.tech import constants as k
 from repro.tech import gate_electrical as ge
-from repro.tech.glitch import generated_width_ps
+from repro.tech.glitch import generated_width_array, generated_width_ps
 from repro.tech.library import ParameterAssignment
 from repro.tech.lut import bracket_queries, stacked_lookup
 from repro.tech.table_builder import TechnologyTables, default_tables
@@ -124,6 +125,47 @@ def _population_input_ramps(indexed, out_ramp: np.ndarray) -> np.ndarray:
     return ramp_in
 
 
+def _population_params(indexed, params) -> list[np.ndarray]:
+    """The ``(B, V)`` float64 ``size``/``length_nm``/``vdd``/``vth``
+    arrays both population annotations start from, shape-checked."""
+    if not indexed.group_pairs:
+        raise TechnologyError(
+            "population annotation needs at least one logic gate; use the "
+            "scalar path for feed-through circuits"
+        )
+    arrays = [
+        np.asarray(params[field], dtype=np.float64)
+        for field in ("size", "length_nm", "vdd", "vth")
+    ]
+    if arrays[0].ndim != 2 or arrays[0].shape[1] != indexed.n_signals:
+        raise TechnologyError(
+            f"expected (B, {indexed.n_signals}) parameter arrays, "
+            f"got {arrays[0].shape}"
+        )
+    return arrays
+
+
+def _node_cap_and_area(
+    indexed, size: np.ndarray, length: np.ndarray, load: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, V)`` output-node capacitances (self + load) and layout
+    areas — the fields both population annotations compute alike."""
+    rows = indexed.gate_rows
+    pairs = indexed.group_pairs
+    gid_rows = indexed.group_id[rows]
+    scf = np.array([ge.self_cap_factor(g, f) for g, f in pairs])
+    count = np.array([float(ge.transistor_count(g, f)) for g, f in pairs])
+    node_cap = np.zeros(size.shape)
+    area = np.zeros(size.shape)
+    node_cap[:, rows] = (
+        ge.self_capacitance_array(size[:, rows], scf[gid_rows]) + load[:, rows]
+    )
+    area[:, rows] = (
+        count[gid_rows] * size[:, rows] * (length[:, rows] / k.NOMINAL_LENGTH_NM)
+    )
+    return node_cap, area
+
+
 def batched_electrical_arrays(
     circuit: Circuit,
     tables: TechnologyTables,
@@ -144,19 +186,7 @@ def batched_electrical_arrays(
     rests on.
     """
     idx = circuit.indexed()
-    if not idx.group_pairs:
-        raise TechnologyError(
-            "batched annotation needs at least one logic gate; use the "
-            "scalar path for feed-through circuits"
-        )
-    size = np.asarray(params["size"], dtype=np.float64)
-    length = np.asarray(params["length_nm"], dtype=np.float64)
-    vdd = np.asarray(params["vdd"], dtype=np.float64)
-    vth = np.asarray(params["vth"], dtype=np.float64)
-    if size.ndim != 2 or size.shape[1] != idx.n_signals:
-        raise TechnologyError(
-            f"expected (B, {idx.n_signals}) parameter arrays, got {size.shape}"
-        )
+    size, length, vdd, vth = _population_params(idx, params)
     n_lanes, n = size.shape
     rows = idx.gate_rows
     gid = np.broadcast_to(idx.group_id[rows], (n_lanes, rows.size))
@@ -199,24 +229,7 @@ def batched_electrical_arrays(
         tables.stacked_values("static_power", pairs), gid, cell_br
     )
 
-    node_cap = np.zeros((n_lanes, n))
-    area = np.zeros((n_lanes, n))
-    self_cap_factors = np.array(
-        [ge.self_cap_factor(gtype, fanin) for gtype, fanin in pairs]
-    )
-    transistor_counts = np.array(
-        [float(ge.transistor_count(gtype, fanin)) for gtype, fanin in pairs]
-    )
-    gid_rows = idx.group_id[rows]
-    node_cap[:, rows] = (
-        ge.self_capacitance_array(size[:, rows], self_cap_factors[gid_rows])
-        + load[:, rows]
-    )
-    area[:, rows] = (
-        transistor_counts[gid_rows]
-        * size[:, rows]
-        * (length[:, rows] / k.NOMINAL_LENGTH_NM)
-    )
+    node_cap, area = _node_cap_and_area(idx, size, length, load)
 
     return {
         "load_ff": load,
@@ -242,11 +255,12 @@ def continuous_delay_arrays(
     ramp intermediates) mirroring the ``use_tables=False`` scalar
     annotation operation for operation.
 
-    This is the realized-delay view SERTOPT's timing repair consults;
-    lane ``b`` reproduces
-    ``CircuitElectrical(circuit, assignment_b, use_tables=False).delay_ps``
-    bitwise (same formulas, same accumulation order), which keeps the
-    batched repair decisions identical to the serial path's.
+    This is the realized-delay view SERTOPT's timing repair consults
+    and the delay half of :func:`continuous_electrical_arrays`; lane
+    ``b`` reproduces the scalar walk's
+    ``CircuitElectrical(circuit, assignment_b, use_tables=False,
+    vectorized=False).delay_ps`` bitwise (same formulas, same
+    accumulation order).
     """
     idx = circuit.indexed()
     rows = idx.gate_rows
@@ -281,8 +295,57 @@ def continuous_delay_arrays(
     }
 
 
+def continuous_electrical_arrays(
+    circuit: Circuit,
+    params: dict[str, np.ndarray],
+    charge_fc: float = k.DEFAULT_CHARGE_FC,
+) -> dict[str, np.ndarray]:
+    """The continuous-model ("SPICE") annotation for a *population* of
+    parameter assignments: every ``(B, V)`` field
+    :func:`batched_electrical_arrays` returns, from the
+    :mod:`repro.tech.gate_electrical` array twins instead of the tables.
+
+    Lane ``b`` is bit-identical to its oracle, the scalar walk
+    ``CircuitElectrical(circuit, assignment_b, use_tables=False,
+    vectorized=False)``.
+    """
+    idx = circuit.indexed()
+    size, length, vdd, vth = _population_params(idx, params)
+    lanes = continuous_delay_arrays(circuit, params)
+    rows = idx.gate_rows
+    pairs = idx.group_pairs
+    gid_rows = idx.group_id[rows]
+    divisors = np.array([ge.drive_divisor(g, f) for g, f in pairs])
+    stacks = np.array([ge.leakage_stacks(g, f) for g, f in pairs])
+    cell = (size[:, rows], length[:, rows], vdd[:, rows], vth[:, rows])
+
+    node_cap, area = _node_cap_and_area(idx, size, length, lanes["load_ff"])
+    current = ge.drive_current_array(*cell, divisors[gid_rows])
+    width = np.zeros(size.shape)
+    width[:, rows] = generated_width_array(
+        charge_fc, node_cap[:, rows], current, vdd[:, rows]
+    )
+    leak = np.zeros(size.shape)
+    leak[:, rows] = ge.static_power_array(*cell, stacks[gid_rows])
+    return {
+        **lanes,
+        "node_cap_ff": node_cap,
+        "generated_width_ps": width,
+        "static_power_uw": leak,
+        "area_units": area,
+        "size": size,
+        "length_nm": length,
+        "vdd": vdd,
+        "vth": vth,
+    }
+
+
 class CircuitElectrical:
-    """Electrical annotation of a circuit under one parameter assignment."""
+    """Electrical annotation of a circuit under one parameter assignment.
+
+    Both device models (``use_tables``) run vectorized, as lane 0 of
+    their population annotation; ``vectorized=False`` is the scalar
+    per-gate walk, the oracle of both."""
 
     def __init__(
         self,
@@ -292,7 +355,7 @@ class CircuitElectrical:
         use_tables: bool = True,
         charge_fc: float = k.DEFAULT_CHARGE_FC,
         clock_period_ps: float = k.CLOCK_PERIOD_PS,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ) -> None:
         if charge_fc < 0.0:
             raise TechnologyError(f"charge must be >= 0, got {charge_fc}")
@@ -304,11 +367,6 @@ class CircuitElectrical:
         self.tables = tables if tables is not None else default_tables()
         self.charge_fc = charge_fc
         self.clock_period_ps = clock_period_ps
-        # The continuous ("SPICE") model is scalar code; only the table
-        # path has an array implementation.
-        self.vectorized = use_tables if vectorized is None else (
-            vectorized and use_tables
-        )
 
         #: Name-keyed views, materialized lazily by the property
         #: accessors (the vectorized path never builds them unless a
@@ -321,7 +379,7 @@ class CircuitElectrical:
         #: on demand otherwise.
         self._arrays: dict[str, np.ndarray] | None = None
 
-        if self.vectorized:
+        if vectorized:
             self._annotate_arrays()
         else:
             self._annotate()
@@ -460,7 +518,7 @@ class CircuitElectrical:
             )
 
     # ------------------------------------------------------------------
-    # Array annotation (the vectorized table path)
+    # Array annotation (the vectorized path of both models)
     # ------------------------------------------------------------------
 
     def _annotate_arrays(self) -> None:
@@ -477,31 +535,26 @@ class CircuitElectrical:
             field: values[np.newaxis, :]
             for field, values in cell_param_arrays(idx, self.assignment).items()
         }
-        lanes = batched_electrical_arrays(
-            self.circuit, self.tables, params, self.charge_fc
-        )
+        if self.use_tables:
+            lanes = batched_electrical_arrays(
+                self.circuit, self.tables, params, self.charge_fc
+            )
+        else:
+            lanes = continuous_electrical_arrays(
+                self.circuit, params, self.charge_fc
+            )
         self._arrays = {field: values[0] for field, values in lanes.items()}
 
     # ------------------------------------------------------------------
     # Array access
     # ------------------------------------------------------------------
 
-    def native_arrays(self) -> dict[str, np.ndarray] | None:
-        """The dense arrays if already available, without building them.
-
-        Non-``None`` whenever the vectorized annotation ran (or a
-        caller already paid for :meth:`arrays`); consumers like
-        ``default_sample_widths`` use it to stay on the array path
-        without forcing a gather on the scalar reference path.
-        """
-        return self._arrays
-
     def arrays(self) -> dict[str, np.ndarray]:
-        """Dense per-row views over ``circuit.indexed()``.
+        """Dense per-row views over ``circuit.indexed()``: every field
+        of the population annotations, cell parameters included.
 
         Populated natively by the vectorized annotation; gathered from
-        the dicts (and cached) when the scalar reference or continuous
-        model produced them.
+        the dicts (and cached) when the scalar walk produced them.
         """
         if self._arrays is None:
             idx = self.circuit.indexed()
@@ -514,6 +567,7 @@ class CircuitElectrical:
                 "generated_width_ps": idx.gather(self.generated_width_ps),
                 "static_power_uw": idx.gather(self.static_power_uw),
                 "area_units": idx.gather(self.area_units),
+                **cell_param_arrays(idx, self.assignment),
             }
         return self._arrays
 
@@ -527,14 +581,10 @@ class CircuitElectrical:
 
     def total_area(self) -> float:
         """Total layout area in relative units."""
-        if self._arrays is not None and "area_units" in self._arrays:
-            return float(self._arrays["area_units"].sum())
-        return sum(self.area_units.values())
+        return float(self.arrays()["area_units"].sum())
 
     def total_static_power_uw(self) -> float:
-        if self._arrays is not None and "static_power_uw" in self._arrays:
-            return float(self._arrays["static_power_uw"].sum())
-        return sum(self.static_power_uw.values())
+        return float(self.arrays()["static_power_uw"].sum())
 
     def static_energy_fj(self) -> float:
         """Leakage energy over one clock period, fJ."""

@@ -11,12 +11,15 @@ above it: the same operations in the same order over broadcast arrays,
 so every element is bit-identical to the scalar call, which is its
 oracle.  The table builder and the continuous population model use
 them.  Twins take the gate type's factor (:func:`drive_divisor`,
-:func:`input_cap_factor`, :func:`self_cap_factor`) instead of
+:func:`input_cap_factor`, :func:`self_cap_factor`,
+:func:`leakage_stacks`) instead of
 ``(gtype, fanin)``, so one call can mix gate types, and they do not
 validate their inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from repro.circuit.gate import GateType
 from repro.errors import TechnologyError
 from repro.tech import constants as k
 from repro.tech import mosfet
-from repro.units import PS_PER_FF_V_PER_UA
+from repro.units import PS_PER_FF_V_PER_UA, THERMAL_VOLTAGE_V
 
 
 def drive_divisor(gtype: GateType, fanin: int) -> float:
@@ -83,6 +86,11 @@ def transistor_count(gtype: GateType, fanin: int) -> int:
     if gtype in (GateType.XOR, GateType.XNOR):
         return 4 * fanin + 2
     raise TechnologyError(f"primary inputs have no transistors ({gtype})")
+
+
+def leakage_stacks(gtype: GateType, fanin: int) -> float:
+    """Leaking device stacks the gate's leakage scales with."""
+    return max(1.0, transistor_count(gtype, fanin) / 4.0)
 
 
 def drive_current_ua(
@@ -214,8 +222,23 @@ def static_power_uw(
     """Leakage power in uW (= uA * V), scaled by the leaking stack count."""
     width = mosfet.size_to_width_nm(size)
     per_stack = mosfet.leakage_current_ua(width, length_nm, vth)
-    stacks = max(1.0, transistor_count(gtype, fanin) / 4.0)
-    return per_stack * stacks * vdd
+    return per_stack * leakage_stacks(gtype, fanin) * vdd
+
+
+def static_power_array(size, length_nm, vdd, vth, stacks):
+    """Array twin of :func:`static_power_uw` (``stacks`` is
+    :func:`leakage_stacks`).
+
+    The subthreshold exponential is one ``math.exp`` per distinct Vth,
+    as the scalar leakage model evaluates it: ``np.exp``'s vectorized
+    loop need not match libm to the last ulp.
+    """
+    levels, which = np.unique(vth, return_inverse=True)
+    scale = k.SUBTHRESHOLD_N * THERMAL_VOLTAGE_V
+    leak = np.array([math.exp(-v / scale) for v in levels.tolist()])
+    leak = leak[which].reshape(np.shape(vth))
+    width = size * k.WIDTH_PER_SIZE_NM
+    return k.LEAKAGE_SCALE_UA * (width / length_nm) * leak * stacks * vdd
 
 
 def area_units(gtype: GateType, fanin: int, size: float, length_nm: float) -> float:

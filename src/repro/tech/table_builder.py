@@ -17,7 +17,6 @@ grid point, which is the tables' oracle.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.tech import gate_electrical as ge
 from repro.tech.glitch import generated_width_array
 from repro.tech.library import CellParams
 from repro.tech.lut import GridTable
-from repro.units import THERMAL_VOLTAGE_V
 
 DEFAULT_SIZE_GRID: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0)
 DEFAULT_LENGTH_GRID: tuple[float, ...] = (70.0, 100.0, 150.0, 250.0, 300.0)
@@ -196,18 +194,9 @@ class TechnologyTables:
 
     def _build_static_power(self, gtype: GateType, fanin: int) -> GridTable:
         axes, (size, length, vdd, vth) = self._mesh(*_CELL)
-        # One math.exp per Vth grid point, as the scalar leakage model
-        # evaluates it (np.exp's vectorized loop need not match libm to
-        # the last ulp); Vth is the last axis, so it broadcasts.
-        leak = np.array(
-            [
-                math.exp(-v / (k.SUBTHRESHOLD_N * THERMAL_VOLTAGE_V))
-                for v in self.vths
-            ]
+        power = ge.static_power_array(
+            size, length, vdd, vth, ge.leakage_stacks(gtype, fanin)
         )
-        stacks = max(1.0, ge.transistor_count(gtype, fanin) / 4.0)
-        width = size * k.WIDTH_PER_SIZE_NM
-        power = k.LEAKAGE_SCALE_UA * (width / length) * leak * stacks * vdd
         return GridTable(axes, np.where(vdd > vth, power, np.inf))
 
     def _build_dynamic_energy(self, gtype: GateType, fanin: int) -> GridTable:

@@ -3,7 +3,8 @@
 Every fast path in the repo is gated by a differential against its slow
 reference: the vectorized masking sweep against the dict walk, the
 fused sweep plan against the unfused per-level loop, the
-characterization tables against the scalar gate model, the batched
+characterization tables against the scalar gate model, the continuous
+model's population annotation against its scalar walk, the batched
 structural estimator against the event-driven one, the
 level-batched matcher against the scalar per-gate ``match``, and the
 population SERTOPT objective against the same search run one candidate
@@ -51,6 +52,7 @@ from repro.sta.timing import analyze_timing
 from repro.tech.electrical_view import (
     CircuitElectrical,
     batched_electrical_arrays,
+    continuous_electrical_arrays,
     stack_cell_param_arrays,
 )
 from repro.tech import gate_electrical as ge
@@ -308,6 +310,62 @@ def assert_tables_match_model(tables, gtype, fanin) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Continuous model: population annotation vs. the scalar per-gate walk
+# ---------------------------------------------------------------------------
+
+
+def off_grid_assignments(circuit, seed: int, count: int) -> list[ParameterAssignment]:
+    """Assignments with every cell parameter drawn uniformly, so cells
+    sit between the table grid points — the continuous model's whole
+    input space, including Vth values where ``np.exp`` and ``math.exp``
+    round differently."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for __ in range(count):
+        assignment = ParameterAssignment()
+        for gate in circuit.gates():
+            assignment.set(
+                gate.name,
+                CellParams(
+                    size=float(rng.uniform(0.5, 4.0)),
+                    length_nm=float(rng.uniform(70.0, 300.0)),
+                    vdd=float(rng.uniform(0.8, 1.2)),
+                    vth=float(rng.uniform(0.1, 0.35)),
+                ),
+            )
+        out.append(assignment)
+    return out
+
+
+def assert_continuous_lanes_match_scalar(circuit, assignments, charge_fc) -> None:
+    """Every field of :func:`continuous_electrical_arrays`, per lane and
+    through ``CircuitElectrical(use_tables=False)`` (lane 0), against
+    the scalar walk ``vectorized=False``, compared as ``uint64`` bit
+    patterns."""
+    params = stack_cell_param_arrays(circuit.indexed(), assignments)
+    lanes = continuous_electrical_arrays(circuit, params, charge_fc)
+    for lane, assignment in enumerate(assignments):
+        oracle = CircuitElectrical(
+            circuit, assignment, use_tables=False, charge_fc=charge_fc,
+            vectorized=False,
+        ).arrays()
+        single = CircuitElectrical(
+            circuit, assignment, use_tables=False, charge_fc=charge_fc
+        ).arrays()
+        assert set(lanes) == set(single) == set(oracle)
+        for field, want in oracle.items():
+            context = f"{circuit.name} at {charge_fc} fC, lane {lane}: {field}"
+            np.testing.assert_array_equal(
+                lanes[field][lane].view(np.uint64), want.view(np.uint64),
+                err_msg=f"{context} (population)",
+            )
+            np.testing.assert_array_equal(
+                single[field].view(np.uint64), want.view(np.uint64),
+                err_msg=f"{context} (lane 0)",
+            )
+
+
+# ---------------------------------------------------------------------------
 # Structural engine: batched fault-site sweep vs. event-driven walk
 # ---------------------------------------------------------------------------
 
@@ -373,7 +431,9 @@ def scalar_candidate(sertopt, result):
     baseline = result.baseline_assignment
     space = result.delay_space
     evaluator = CostEvaluator(sertopt.analyzer, baseline, weights=config.weights)
-    elec = CircuitElectrical(circuit, baseline, use_tables=False)
+    elec = CircuitElectrical(
+        circuit, baseline, use_tables=False, vectorized=False
+    )
     ramps = dict(elec.input_ramp_ps)
     cap = (
         analyze_timing(circuit, elec.delay_ps).delay_ps

@@ -1,5 +1,6 @@
 """Edge cases of the population entry points (``analyze_many``,
-``evaluate_batch``) around the fused sweep plan.
+``evaluate_batch``) around the fused sweep plan, and the input checks
+``analyze_many`` runs for both device models.
 
 The plan is compiled once per circuit and cached on the
 masking structure and in the artifact cache — so the cases that could
@@ -20,7 +21,9 @@ from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
 from repro.core.baseline import size_for_speed
 from repro.core.cost import CostEvaluator
-from repro.errors import AnalysisError
+from repro.circuit.netlist import Circuit
+from repro.errors import AnalysisError, TechnologyError
+from repro.tech.electrical_view import stack_cell_param_arrays
 from repro.tech.library import CellParams, ParameterAssignment
 
 
@@ -127,3 +130,47 @@ class TestMutationBetweenCalls:
         after = analyzer.analyze_many(params=params)
         assert after.totals[1] == before.totals[1]
         assert after.totals[0] != before.totals[0]
+
+
+class TestEntryChecks:
+    """``analyze_many`` refuses what the scalar model refuses — a
+    non-physical cell, a negative charge, a circuit without gates —
+    with the same error under both device models."""
+
+    @pytest.fixture(
+        scope="class", params=[True, False], ids=["tables", "continuous"]
+    )
+    def c17_analyzer(self, request):
+        return AsertaAnalyzer(
+            iscas85_circuit("c17"),
+            AsertaConfig(n_vectors=64, seed=1, use_tables=request.param),
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vdd", 0.2), ("vdd", 0.1), ("size", 0.0), ("size", -1.0)],
+        ids=["vdd-eq-vth", "vdd-below-vth", "size-zero", "size-negative"],
+    )
+    def test_non_physical_lane_rejected(self, c17_analyzer, field, value):
+        idx = c17_analyzer.indexed
+        params = stack_cell_param_arrays(idx, [ParameterAssignment()] * 2)
+        params[field][1, idx.gate_rows[-1]] = value
+        with pytest.raises(TechnologyError, match="lane 1, gate .*non-physical"):
+            c17_analyzer.analyze_many(params=params)
+
+    def test_negative_charge_rejected(self, c17_analyzer):
+        with pytest.raises(TechnologyError, match="charge must be >= 0"):
+            c17_analyzer.analyze_many([ParameterAssignment()], charge_fc=-1.0)
+
+    @pytest.mark.parametrize("use_tables", [True, False])
+    def test_gateless_circuit_rejected(self, use_tables):
+        circuit = Circuit("feedthrough")
+        circuit.add_input("a")
+        circuit.mark_output("a")
+        analyzer = AsertaAnalyzer(
+            circuit, AsertaConfig(n_vectors=16, use_tables=use_tables)
+        )
+        with pytest.raises(AnalysisError):
+            analyzer.analyze()
+        with pytest.raises(AnalysisError):
+            analyzer.analyze_many([ParameterAssignment()])

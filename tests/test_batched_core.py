@@ -91,7 +91,9 @@ class TestBatchedElectrical:
         params = stack_cell_param_arrays(idx, assignments)
         batch = continuous_delay_arrays(circuit, params)["delay_ps"]
         for lane, assignment in enumerate(assignments):
-            scalar = CircuitElectrical(circuit, assignment, use_tables=False)
+            scalar = CircuitElectrical(
+                circuit, assignment, use_tables=False, vectorized=False
+            )
             np.testing.assert_array_equal(
                 batch[lane], idx.gather(scalar.delay_ps)
             )
@@ -122,7 +124,9 @@ class TestBatchedTiming:
         for lane, assignment in enumerate(assignments):
             scalar = analyze_timing(
                 circuit,
-                CircuitElectrical(circuit, assignment, use_tables=False).delay_ps,
+                CircuitElectrical(
+                    circuit, assignment, use_tables=False, vectorized=False
+                ).delay_ps,
             )
             assert report.delay_ps[lane] == scalar.delay_ps
             for name in scalar.arrival_ps:
@@ -250,10 +254,15 @@ class TestAnalyzeMany:
                 ),
             )
 
-    def test_reference_fallback_matches(self):
-        """``use_tables=False`` analyzers fall back to per-assignment
-        analyze() calls with identical totals, from assignments or from
-        raw parameter arrays alike."""
+    def test_continuous_model_lanes_match_analyze(self):
+        """``use_tables=False`` analyzers run the same population body
+        on the continuous annotation: each lane's total equals its
+        analyze() total bitwise, from assignments or from raw parameter
+        arrays alike, and delay, energy and area agree with the scalar
+        walk's timing, energy and area."""
+        from repro.power.area import circuit_area
+        from repro.power.energy import circuit_energy
+
         circuit = iscas85_circuit("c17")
         analyzer = AsertaAnalyzer(
             circuit, AsertaConfig(n_vectors=256, seed=3, use_tables=False)
@@ -262,6 +271,19 @@ class TestAnalyzeMany:
         batch = analyzer.analyze_many(assignments)
         for lane, assignment in enumerate(assignments):
             assert batch.totals[lane] == analyzer.analyze(assignment).total
+            scalar = analyzer.electrical_view(assignment, vectorized=False)
+            assert batch.delay_ps[lane] == analyze_timing(
+                circuit, scalar.delay_ps
+            ).delay_ps
+            assert batch.energy_fj[lane] == pytest.approx(
+                circuit_energy(
+                    circuit, scalar, analyzer.probabilities
+                ).total_fj,
+                rel=RTOL,
+            )
+            assert batch.area[lane] == pytest.approx(
+                circuit_area(circuit, scalar), rel=RTOL
+            )
         by_params = analyzer.analyze_many(
             params=stack_cell_param_arrays(circuit.indexed(), assignments)
         )

@@ -192,8 +192,8 @@ class TestSertoptFlowEquivalence:
 
     def test_use_tables_false_population_objective(self):
         """A continuous-model analyzer runs the same population
-        objective: its ``analyze_many`` falls back to per-lane
-        ``analyze()`` calls on the matcher's parameter arrays."""
+        objective: its ``analyze_many`` annotates the matcher's
+        parameter arrays through the continuous population model."""
         circuit = iscas85_circuit("c17")
         config = SertoptConfig(
             max_evaluations=8,

@@ -12,6 +12,10 @@ re-asserted here through one shared harness (:mod:`conformance`):
 * **tables** — every cell of the six characterization table kinds,
   on every gate pair of the matrix, against the scalar gate model at
   that grid point, bitwise;
+* **continuous model** — every field of the continuous model's
+  population annotation, per lane and as ``CircuitElectrical``'s lane
+  0, against the scalar walk ``vectorized=False`` at 0, 16 and 64 fC,
+  bitwise;
 * **structural** — the analyzer's ``P_ij`` (the live-pair kernel
   behind the artifact cache) against the event-driven oracle
   ``structural_matrix_event``, and the totals an analyzer computes
@@ -28,6 +32,7 @@ import pytest
 from conformance import (
     CONFORMANCE_CIRCUITS,
     CONFORMANCE_SPECS,
+    assert_continuous_lanes_match_scalar,
     assert_fused_sweep_conforms_batch,
     assert_fused_sweep_conforms_single,
     assert_lanes_match_scalar,
@@ -37,6 +42,7 @@ from conformance import (
     conformance_gate_pairs,
     mixed_assignment,
     mixed_assignments,
+    off_grid_assignments,
 )
 from repro.circuit.gate import GateType
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
@@ -144,6 +150,19 @@ class TestTablesAxis:
             name.startswith(f"{KIND_P_MATRIX}-") and name.endswith(".npz")
             for name in files
         ), files
+
+
+class TestContinuousModelAxis:
+    """The continuous model's population annotation vs. its scalar walk."""
+
+    @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS)
+    def test_every_field_bitwise(self, name):
+        circuit = conformance_circuit(name)
+        assignments = off_grid_assignments(circuit, seed=29, count=2)
+        for charge_fc in (0.0, 16.0, 64.0):
+            assert_continuous_lanes_match_scalar(
+                circuit, assignments, charge_fc
+            )
 
 
 class TestStructuralEngineAxis:

@@ -193,6 +193,20 @@ class TestWarmAnalyzer:
             before.analyze().total, rel=1e-12
         )
 
+    def test_warm_start_promotes_only_persisted_kinds(self, tmp_path):
+        """A leftover artifact of a kind the engine no longer writes (a
+        stacked-LUT tensor with a valid header) stays on disk; only the
+        ``P_ij`` artifact is promoted."""
+        cache_dir = tmp_path / "artifacts"
+        writer = AnalysisEngine(cache_dir=cache_dir)
+        writer.p_matrix(iscas85_circuit("c17"), 64, 0)
+        writer.cache.store_arrays("stacked_lut-legacy", {"values": np.ones(3)})
+        assert writer.cache.load_arrays("stacked_lut-legacy") is not None
+
+        fresh = AnalysisEngine(cache_dir=cache_dir)
+        assert fresh.warm_start() == 1
+        assert "stacked_lut-legacy" not in fresh.cache
+
     def test_default_engine_is_process_wide_and_resettable(self):
         previous = set_default_engine(None)
         try:

@@ -189,9 +189,10 @@ class TestVectorizedReductions:
         report = analyzer.analyze()
         assert report.masking.arrays is not None
         idx = analyzer.indexed
+        from repro.tech.electrical_view import cell_param_arrays
         from repro.tech.library import ParameterAssignment
 
-        sizes = analyzer._sizes_array(ParameterAssignment())
+        sizes = cell_param_arrays(idx, ParameterAssignment())["size"]
         contributions = gate_contributions(
             sizes, report.masking.arrays.expected
         )
